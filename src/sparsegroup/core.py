@@ -247,10 +247,7 @@ class NumericalSemigroup:
 
     def intersect(self, other: NumericalSemigroup) -> NumericalSemigroup:
         """Intersection of two semigroups; the gap sets simply union."""
-        merged = tuple(sorted(self._gap_set | other._gap_set))
-        result = NumericalSemigroup(merged)
-        assert not merged or _closure_violation(set(merged), merged[-1]) is None
-        return result
+        return NumericalSemigroup(tuple(sorted(self._gap_set | other._gap_set)))
 
     __and__ = intersect
 

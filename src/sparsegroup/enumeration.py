@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 from .core import LimitExceeded, NumericalSemigroup
 from .ideals import is_arf_double
-from .kappa import is_kappa_sparse, is_pure_kappa_sparse
-from .leaps import LeapProfile, is_sparse, leap_profile
+from .kappa import is_kappa_sparse, sparseness_index
+from .leaps import LeapProfile, leap_profile
 
 DEFAULT_GENUS_CAP = 18
 GENUS_CAP_ENV = "SPARSEGROUP_MAX_GENUS"
@@ -180,7 +180,7 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
 
     if request.mode == "pure_kappa_sparse":
         def selected(node):
-            return is_pure_kappa_sparse(node, kappa)
+            return sparseness_index(node) == kappa
     elif request.mode == "arf":
         selected = is_arf_double
     else:
@@ -193,13 +193,15 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
             continue
         row = rows[depth]
         row.total += 1
+        # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
+        index = sparseness_index(node)
         if is_arf_double(node):
             row.per_class["arf"] += 1
-        if is_sparse(node):
+        if index <= 2:
             row.per_class["sparse"] += 1
-        if is_kappa_sparse(node, kappa):
+        if index <= kappa:
             row.per_class["kappa_sparse"] += 1
-        if is_pure_kappa_sparse(node, kappa):
+        if index == kappa:
             row.per_class["pure_kappa_sparse"] += 1
         if with_profiles:
             profile = leap_profile(node)

@@ -62,29 +62,15 @@ def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
     )
 
 
-def _has_interior_run(semigroup: NumericalSemigroup, length: int) -> bool:
-    """Whether some positive member below the conductor starts ``length`` consecutive members."""
-    return any(
-        all((x + d) in semigroup for d in range(length))
-        for x in semigroup.small_elements[1:-1]
-    )
-
-
 def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Membership in the pure class: kappa-sparse with a leap of jump exactly kappa.
 
-    kappa = 1 denotes the unit class containing only the full naturals.  For
-    kappa >= 3 the profile criterion is cross-checked against the equivalent
-    interior-run criterion.
+    kappa = 1 denotes the unit class containing only the full naturals.
     """
     _require_kappa(kappa, 1)
     if kappa == 1:
         return semigroup.genus == 0
-    sparse_enough = is_kappa_sparse(semigroup, kappa)
-    result = sparse_enough and leap_profile(semigroup).v(kappa) != 0
-    if kappa >= 3:
-        assert (sparse_enough and _has_interior_run(semigroup, kappa - 1)) == result
-    return result
+    return is_kappa_sparse(semigroup, kappa) and leap_profile(semigroup).v(kappa) != 0
 
 
 def sparseness_index(semigroup: NumericalSemigroup) -> int:

@@ -4,11 +4,18 @@ Each check walks every semigroup up to a genus bound and confirms one family
 of facts: agreement of independent decision procedures, leap-count identities,
 closure of the kappa-sparse classes under the two variety operations, and the
 correctness of the enumeration tree itself.
+
+Every family is one generator that yields once per instance: ``None`` when
+the instance holds, else the counterexample text.  One driver, ``_family``,
+counts the instances and stops at the first counterexample, which ``verify``
+prints on failure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import wraps
 
 from .core import NumericalSemigroup, ordinary
 from .enumeration import children, enumerate_genus, enumerate_kappa_sparse
@@ -24,15 +31,10 @@ from .kappa import (
     is_pure_kappa_sparse,
     sparseness_index,
 )
-from .leaps import (
-    frobenius_from_profile,
-    is_hyperelliptic,
-    is_sparse,
-    leap_profile,
-    leap_set,
-)
+from .leaps import frobenius_from_profile, is_hyperelliptic, is_sparse, leap_profile, leap_set
 
 Levels = list[list[NumericalSemigroup]]
+Instances = Iterator[str | None]
 
 
 @dataclass
@@ -48,369 +50,261 @@ class CheckResult:
         return self.counterexample is None
 
 
+def _family(name: str):
+    """Turn a per-instance generator into a check that reports its first counterexample.
+
+    A whole-level condition that is not an instance of its own yields only
+    when it fails.
+    """
+
+    def decorate(check):
+        @wraps(check)
+        def run(*args) -> CheckResult:
+            instances = 0
+            for counterexample in check(*args):
+                instances += 1
+                if counterexample is not None:
+                    return CheckResult(name, instances, counterexample)
+            return CheckResult(name, instances)
+
+        return run
+
+    return decorate
+
+
 def _gapstr(semigroup: NumericalSemigroup) -> str:
     return f"gaps={list(semigroup.gaps)}"
 
 
-def _tree_roundtrip(levels: Levels) -> CheckResult:
+def _nodes(levels: Levels) -> Iterator[NumericalSemigroup]:
+    return (node for level in levels for node in level)
+
+
+@_family("tree-parent-roundtrip")
+def _tree_roundtrip(levels: Levels) -> Instances:
     """Every node revalidates, is unique on its level, and is a child of its parent."""
-    instances = 0
     for genus, level in enumerate(levels):
-        seen = set(level)
-        if len(seen) != len(level):
-            return CheckResult("tree-parent-roundtrip", instances, f"duplicates at genus {genus}")
+        if len(set(level)) != len(level):
+            yield f"duplicates at genus {genus}"
         for node in level:
-            instances += 1
             try:
                 NumericalSemigroup.from_gaps(node.gaps)
             except Exception as exc:  # noqa: BLE001
-                return CheckResult("tree-parent-roundtrip", instances, f"{_gapstr(node)}: {exc}")
-            if genus == 0:
-                continue
-            parent = node.adjoin_frobenius()
-            if node not in children(parent):
-                return CheckResult(
-                    "tree-parent-roundtrip",
-                    instances,
-                    f"{_gapstr(node)} is not a child of {_gapstr(parent)}",
-                )
-    return CheckResult("tree-parent-roundtrip", instances)
+                yield f"{_gapstr(node)}: {exc}"
+            if genus == 0 or node in children(parent := node.adjoin_frobenius()):
+                yield None
+            else:
+                yield f"{_gapstr(node)} is not a child of {_gapstr(parent)}"
 
 
-def _arf_deciders_agree(levels: Levels) -> CheckResult:
+@_family("arf-deciders-agree")
+def _arf_deciders_agree(levels: Levels) -> Instances:
     """The triple, doubling, and stable-ideal Arf procedures return the same verdict."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            instances += 1
-            a, b, c = is_arf_definition(node), is_arf_double(node), is_arf_stable(node)
-            if not (a == b == c):
-                return CheckResult(
-                    "arf-deciders-agree",
-                    instances,
-                    f"{_gapstr(node)}: triple={a} doubling={b} stable={c}",
-                )
-    return CheckResult("arf-deciders-agree", instances)
+    for node in _nodes(levels):
+        a, b, c = is_arf_definition(node), is_arf_double(node), is_arf_stable(node)
+        yield None if a == b == c else f"{_gapstr(node)}: triple={a} doubling={b} stable={c}"
 
 
-def _arf_implies_sparse(levels: Levels) -> CheckResult:
-    instances = 0
-    for level in levels:
-        for node in level:
-            instances += 1
-            if is_arf_double(node) and sparseness_index(node) > 2:
-                return CheckResult(
-                    "arf-implies-sparse",
-                    instances,
-                    f"{_gapstr(node)}: Arf but index {sparseness_index(node)}",
-                )
-    return CheckResult("arf-implies-sparse", instances)
+@_family("arf-implies-sparse")
+def _arf_implies_sparse(levels: Levels) -> Instances:
+    for node in _nodes(levels):
+        if is_arf_double(node) and sparseness_index(node) > 2:
+            yield f"{_gapstr(node)}: Arf but index {sparseness_index(node)}"
+        else:
+            yield None
 
 
-def _leap_counts_sum_to_genus(levels: Levels) -> CheckResult:
-    instances = 0
-    for level in levels:
-        for node in level:
-            instances += 1
-            if len(leap_set(node)) != node.genus or leap_profile(node).total != node.genus:
-                return CheckResult(
-                    "leap-counts-sum-to-genus", instances, f"{_gapstr(node)}"
-                )
-    return CheckResult("leap-counts-sum-to-genus", instances)
+@_family("leap-counts-sum-to-genus")
+def _leap_counts_sum_to_genus(levels: Levels) -> Instances:
+    for node in _nodes(levels):
+        holds = len(leap_set(node)) == node.genus and leap_profile(node).total == node.genus
+        yield None if holds else _gapstr(node)
 
 
-def _hyperelliptic_leap_shape(levels: Levels) -> CheckResult:
+@_family("hyperelliptic-leap-shape")
+def _hyperelliptic_leap_shape(levels: Levels) -> Instances:
     """2 is a member iff no single leaps; then every leap is double; else jumps <= genus."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            if node.genus == 0:
-                continue
-            instances += 1
-            profile = leap_profile(node)
-            hyper = is_hyperelliptic(node)
-            if hyper != (profile.v(1) == 0):
-                return CheckResult(
-                    "hyperelliptic-leap-shape", instances, f"{_gapstr(node)}: v1 mismatch"
-                )
-            if hyper and profile.counts != ((2, node.genus),):
-                return CheckResult(
-                    "hyperelliptic-leap-shape", instances, f"{_gapstr(node)}: profile not all-double"
-                )
-            if not hyper and profile.max_jump > node.genus:
-                return CheckResult(
-                    "hyperelliptic-leap-shape",
-                    instances,
-                    f"{_gapstr(node)}: jump {profile.max_jump} above genus",
-                )
-    return CheckResult("hyperelliptic-leap-shape", instances)
+    for node in _nodes(levels):
+        if node.genus == 0:
+            continue
+        profile = leap_profile(node)
+        hyper = is_hyperelliptic(node)
+        if hyper != (profile.v(1) == 0):
+            yield f"{_gapstr(node)}: v1 mismatch"
+        elif hyper and profile.counts != ((2, node.genus),):
+            yield f"{_gapstr(node)}: profile not all-double"
+        elif not hyper and profile.max_jump > node.genus:
+            yield f"{_gapstr(node)}: jump {profile.max_jump} above genus"
+        else:
+            yield None
 
 
-def _unit_and_ordinary_signatures(levels: Levels) -> CheckResult:
+@_family("unit-and-ordinary-signatures")
+def _unit_and_ordinary_signatures(levels: Levels) -> Instances:
     """Double leaps vanish only on the full naturals; ordinary profiles are (g-1, 1)."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            instances += 1
-            profile = leap_profile(node)
-            if (profile.v(2) == 0) != (node.genus == 0):
-                return CheckResult(
-                    "unit-and-ordinary-signatures", instances, f"{_gapstr(node)}: v2 zero test"
-                )
-            if (profile.v(2) != 0) != (1 not in node):
-                return CheckResult(
-                    "unit-and-ordinary-signatures", instances, f"{_gapstr(node)}: v2 vs 1-membership"
-                )
-            if node.genus > 0:
-                signature = (profile.v(1), profile.v(2)) == (node.genus - 1, 1)
-                if signature != (node == ordinary(node.genus)):
-                    return CheckResult(
-                        "unit-and-ordinary-signatures",
-                        instances,
-                        f"{_gapstr(node)}: ordinary signature mismatch",
-                    )
-    return CheckResult("unit-and-ordinary-signatures", instances)
+    for node in _nodes(levels):
+        profile = leap_profile(node)
+        signature = (profile.v(1), profile.v(2)) == (node.genus - 1, 1)
+        if (profile.v(2) == 0) != (node.genus == 0):
+            yield f"{_gapstr(node)}: v2 zero test"
+        elif (profile.v(2) != 0) != (1 not in node):
+            yield f"{_gapstr(node)}: v2 vs 1-membership"
+        elif node.genus > 0 and signature != (node == ordinary(node.genus)):
+            yield f"{_gapstr(node)}: ordinary signature mismatch"
+        else:
+            yield None
 
 
-def _sparse_leap_identities(levels: Levels) -> CheckResult:
+@_family("sparse-leap-identities")
+def _sparse_leap_identities(levels: Levels) -> Instances:
     """Sparse iff single+double leaps fill the genus; then the Frobenius identities hold."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            instances += 1
-            profile = leap_profile(node)
-            sparse = is_sparse(node)
-            if sparse != (profile.v(1) + profile.v(2) == node.genus):
-                return CheckResult(
-                    "sparse-leap-identities", instances, f"{_gapstr(node)}: count form"
-                )
-            if sparse and node.frobenius != profile.v(1) + 2 * profile.v(2) - 1:
-                return CheckResult(
-                    "sparse-leap-identities", instances, f"{_gapstr(node)}: Frobenius form"
-                )
-            if node.genus > 0:
-                K = 2 * node.genus - node.frobenius
-                k_form = profile.v(1) == K - 1 and profile.v(2) == node.genus - K + 1
-                if sparse != k_form:
-                    return CheckResult(
-                        "sparse-leap-identities", instances, f"{_gapstr(node)}: K form"
-                    )
-    return CheckResult("sparse-leap-identities", instances)
+    for node in _nodes(levels):
+        profile = leap_profile(node)
+        sparse = is_sparse(node)
+        K = 2 * node.genus - node.frobenius
+        k_form = profile.v(1) == K - 1 and profile.v(2) == node.genus - K + 1
+        if sparse != (profile.v(1) + profile.v(2) == node.genus):
+            yield f"{_gapstr(node)}: count form"
+        elif sparse and node.frobenius != profile.v(1) + 2 * profile.v(2) - 1:
+            yield f"{_gapstr(node)}: Frobenius form"
+        elif node.genus > 0 and sparse != k_form:
+            yield f"{_gapstr(node)}: K form"
+        else:
+            yield None
 
 
-def _kappa_deciders_agree(levels: Levels) -> CheckResult:
+@_family("kappa-deciders-agree")
+def _kappa_deciders_agree(levels: Levels) -> Instances:
     """The four kappa-sparse procedures agree for every kappa in [2, genus + 2]."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            for kappa in range(2, node.genus + 3):
-                instances += 1
-                results = (
-                    is_kappa_sparse_profile(node, kappa),
-                    is_kappa_sparse_gapdiff(node, kappa),
-                    is_kappa_sparse_nongap(node, kappa),
-                    is_kappa_sparse_run(node, kappa),
-                )
-                if len(set(results)) != 1:
-                    return CheckResult(
-                        "kappa-deciders-agree",
-                        instances,
-                        f"{_gapstr(node)} kappa={kappa}: {results}",
-                    )
-    return CheckResult("kappa-deciders-agree", instances)
+    for node in _nodes(levels):
+        for kappa in range(2, node.genus + 3):
+            results = (
+                is_kappa_sparse_profile(node, kappa),
+                is_kappa_sparse_gapdiff(node, kappa),
+                is_kappa_sparse_nongap(node, kappa),
+                is_kappa_sparse_run(node, kappa),
+            )
+            agree = len(set(results)) == 1
+            yield None if agree else f"{_gapstr(node)} kappa={kappa}: {results}"
 
 
-def _frobenius_equals_weighted_leaps(levels: Levels) -> CheckResult:
-    instances = 0
-    for level in levels:
-        for node in level:
-            instances += 1
-            if frobenius_from_profile(leap_profile(node)) != node.frobenius:
-                return CheckResult(
-                    "frobenius-equals-weighted-leaps", instances, f"{_gapstr(node)}"
-                )
-    return CheckResult("frobenius-equals-weighted-leaps", instances)
+@_family("frobenius-equals-weighted-leaps")
+def _frobenius_equals_weighted_leaps(levels: Levels) -> Instances:
+    for node in _nodes(levels):
+        holds = frobenius_from_profile(leap_profile(node)) == node.frobenius
+        yield None if holds else _gapstr(node)
 
 
-def _identity_matches_class(levels: Levels) -> CheckResult:
+@_family("identity-matches-class")
+def _identity_matches_class(levels: Levels) -> Instances:
     """The truncated leap-sum identities hold exactly on the kappa-sparse members."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            if node.genus == 0:
-                continue
-            for kappa in range(2, node.genus + 3):
-                instances += 1
-                if frobenius_identity_check(node, kappa) != is_kappa_sparse(node, kappa):
-                    return CheckResult(
-                        "identity-matches-class",
-                        instances,
-                        f"{_gapstr(node)} kappa={kappa}",
-                    )
-    return CheckResult("identity-matches-class", instances)
+    for node in _nodes(levels):
+        if node.genus == 0:
+            continue
+        for kappa in range(2, node.genus + 3):
+            holds = frobenius_identity_check(node, kappa) == is_kappa_sparse(node, kappa)
+            yield None if holds else f"{_gapstr(node)} kappa={kappa}"
 
 
-def _pure_run_agrees(levels: Levels) -> CheckResult:
-    """For kappa >= 3, purity equals kappa-sparseness plus an interior member run."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            for kappa in range(3, node.genus + 3):
-                instances += 1
-                run = any(
-                    all((x + d) in node for d in range(kappa - 1))
-                    for x in node.small_elements[1:-1]
-                )
-                expected = is_kappa_sparse(node, kappa) and run
-                if is_pure_kappa_sparse(node, kappa) != expected:
-                    return CheckResult(
-                        "pure-run-agrees", instances, f"{_gapstr(node)} kappa={kappa}"
-                    )
-    return CheckResult("pure-run-agrees", instances)
+@_family("pure-run-agrees")
+def _pure_run_agrees(levels: Levels) -> Instances:
+    """For kappa >= 3, purity equals kappa-sparseness plus an interior run of kappa - 1 members."""
+    for node in _nodes(levels):
+        for kappa in range(3, node.genus + 3):
+            expected = is_kappa_sparse(node, kappa) and not is_kappa_sparse_run(node, kappa - 1)
+            holds = is_pure_kappa_sparse(node, kappa) == expected
+            yield None if holds else f"{_gapstr(node)} kappa={kappa}"
 
 
-def _pure_classes_partition(levels: Levels) -> CheckResult:
+@_family("pure-classes-partition")
+def _pure_classes_partition(levels: Levels) -> Instances:
     """Each semigroup is pure for exactly one kappa, so pure counts sum to the total."""
-    instances = 0
     for genus, level in enumerate(levels):
         for node in level:
-            instances += 1
             index = sparseness_index(node)
-            for kappa in range(1, node.genus + 3):
-                if is_pure_kappa_sparse(node, kappa) != (kappa == index):
-                    return CheckResult(
-                        "pure-classes-partition",
-                        instances,
-                        f"{_gapstr(node)} kappa={kappa} index={index}",
-                    )
+            bad = [k for k in range(1, genus + 3) if is_pure_kappa_sparse(node, k) != (k == index)]
+            yield f"{_gapstr(node)} kappa={bad[0]} index={index}" if bad else None
         # jumps never exceed genus + 2, so the kappa sweep below is exhaustive
         pure_sum = sum(
             sum(1 for node in level if is_pure_kappa_sparse(node, kappa))
             for kappa in range(1, genus + 3)
         )
         if pure_sum != len(level):
-            return CheckResult(
-                "pure-classes-partition",
-                instances,
-                f"genus {genus}: pure classes sum to {pure_sum}, total {len(level)}",
-            )
-    return CheckResult("pure-classes-partition", instances)
+            yield f"genus {genus}: pure classes sum to {pure_sum}, total {len(level)}"
 
 
-def _kappa_chain_strict(levels: Levels, kappa_limit: int) -> CheckResult:
+@_family("kappa-chain-strict")
+def _kappa_chain_strict(levels: Levels, kappa_limit: int) -> Instances:
     """Classes grow with kappa, strictly: each step has an explicit witness."""
-    instances = 0
-    for level in levels:
-        for node in level:
-            for kappa in range(1, node.genus + 3):
-                instances += 1
-                if is_kappa_sparse(node, kappa) and not is_kappa_sparse(node, kappa + 1):
-                    return CheckResult(
-                        "kappa-chain-strict",
-                        instances,
-                        f"{_gapstr(node)}: in class {kappa} but not {kappa + 1}",
-                    )
+    for node in _nodes(levels):
+        for kappa in range(1, node.genus + 3):
+            grows = not is_kappa_sparse(node, kappa) or is_kappa_sparse(node, kappa + 1)
+            yield None if grows else f"{_gapstr(node)}: in class {kappa} but not {kappa + 1}"
     for kappa in range(1, kappa_limit + 1):
-        instances += 1
-        if kappa == 1:
-            witness = NumericalSemigroup((1,))
-        else:
-            witness = example_family(kappa + 1, kappa + 1)
-        if not is_kappa_sparse(witness, kappa + 1) or is_kappa_sparse(witness, kappa):
-            return CheckResult(
-                "kappa-chain-strict",
-                instances,
-                f"witness {_gapstr(witness)} fails strictness at kappa={kappa}",
-            )
-    return CheckResult("kappa-chain-strict", instances)
+        witness = NumericalSemigroup((1,)) if kappa == 1 else example_family(kappa + 1, kappa + 1)
+        strict = is_kappa_sparse(witness, kappa + 1) and not is_kappa_sparse(witness, kappa)
+        yield None if strict else f"witness {_gapstr(witness)} fails strictness at kappa={kappa}"
 
 
-def _intersection_stays_in_class(levels: Levels, pair_genus: int) -> CheckResult:
+@_family("intersection-stays-in-class")
+def _intersection_stays_in_class(levels: Levels, pair_genus: int) -> Instances:
     """Intersecting two kappa-sparse semigroups stays in the class (kappa in 2..4)."""
-    instances = 0
-    pool = [node for level in levels[: pair_genus + 1] for node in level]
+    pool = list(_nodes(levels[: pair_genus + 1]))
     for kappa in (2, 3, 4):
         members = [node for node in pool if is_kappa_sparse(node, kappa)]
-        for i, left in enumerate(members):
-            for right in members[i:]:
-                instances += 1
-                if not is_kappa_sparse(left.intersect(right), kappa):
-                    return CheckResult(
-                        "intersection-stays-in-class",
-                        instances,
-                        f"{_gapstr(left)} meet {_gapstr(right)} leaves class {kappa}",
-                    )
-    return CheckResult("intersection-stays-in-class", instances)
+        for i, a in enumerate(members):
+            for b in members[i:]:
+                stays = is_kappa_sparse(a.intersect(b), kappa)
+                yield None if stays else f"{_gapstr(a)} meet {_gapstr(b)} leaves class {kappa}"
 
 
-def _adjunction_stays_in_class(levels: Levels, kappa_limit: int) -> CheckResult:
+@_family("adjunction-stays-in-class")
+def _adjunction_stays_in_class(levels: Levels, kappa_limit: int) -> Instances:
     """Filling the largest gap of a kappa-sparse semigroup stays in the class."""
-    instances = 0
-    for level in levels[1:]:
-        for node in level:
-            for kappa in range(2, kappa_limit + 1):
-                if not is_kappa_sparse(node, kappa):
-                    continue
-                instances += 1
-                if not is_kappa_sparse(node.adjoin_frobenius(), kappa):
-                    return CheckResult(
-                        "adjunction-stays-in-class",
-                        instances,
-                        f"{_gapstr(node)} kappa={kappa}",
-                    )
-    return CheckResult("adjunction-stays-in-class", instances)
+    for node in _nodes(levels[1:]):
+        for kappa in range(2, kappa_limit + 1):
+            if is_kappa_sparse(node, kappa):
+                stays = is_kappa_sparse(node.adjoin_frobenius(), kappa)
+                yield None if stays else f"{_gapstr(node)} kappa={kappa}"
 
 
-def _pruned_equals_filtered(levels: Levels, kappa_limit: int) -> CheckResult:
+@_family("pruned-equals-filtered")
+def _pruned_equals_filtered(levels: Levels, kappa_limit: int) -> Instances:
     """The pruned class enumerator matches filtering the full enumeration."""
-    instances = 0
     for genus, level in enumerate(levels):
         for kappa in range(2, kappa_limit + 1):
-            instances += 1
             pruned = {node.gaps for node in enumerate_kappa_sparse(genus, kappa)}
             filtered = {node.gaps for node in level if is_kappa_sparse(node, kappa)}
-            if pruned != filtered:
-                return CheckResult(
-                    "pruned-equals-filtered",
-                    instances,
-                    f"genus={genus} kappa={kappa}: {len(pruned)} pruned vs {len(filtered)} filtered",
-                )
-    return CheckResult("pruned-equals-filtered", instances)
+            if pruned == filtered:
+                yield None
+            else:
+                yield f"genus={genus} kappa={kappa}: {len(pruned)} pruned vs {len(filtered)} filtered"
 
 
-def _two_block_family_structure(levels: Levels, kappa_limit: int) -> CheckResult:
+@_family("two-block-family-structure")
+def _two_block_family_structure(levels: Levels, kappa_limit: int) -> Instances:
     """The two-block family has the stated shape and is unique for its parameters."""
-    instances = 0
     max_genus = len(levels) - 1
     for kappa in range(3, kappa_limit + 1):
         for a in range(kappa, kappa + 5):
             genus = 2 * a - kappa
             if genus > max_genus:
                 continue
-            instances += 1
             family = example_family(a, kappa)
-            if (
-                family.genus != genus
-                or family.multiplicity != a
-                or family.element(kappa) != 2 * a
-                or not is_pure_kappa_sparse(family, kappa)
-            ):
-                return CheckResult(
-                    "two-block-family-structure",
-                    instances,
-                    f"a={a} kappa={kappa}: family shape wrong",
-                )
+            shaped = (
+                family.genus == genus
+                and family.multiplicity == a
+                and family.element(kappa) == 2 * a
+                and is_pure_kappa_sparse(family, kappa)
+            )
+            yield None if shaped else f"a={a} kappa={kappa}: family shape wrong"
             for node in levels[genus]:
-                if node.multiplicity != a or node.element(kappa) != 2 * a:
-                    continue
-                instances += 1
-                if is_pure_kappa_sparse(node, kappa) != (node == family):
-                    return CheckResult(
-                        "two-block-family-structure",
-                        instances,
-                        f"a={a} kappa={kappa}: {_gapstr(node)} breaks uniqueness",
+                if node.multiplicity == a and node.element(kappa) == 2 * a:
+                    unique = is_pure_kappa_sparse(node, kappa) == (node == family)
+                    yield (
+                        None if unique
+                        else f"a={a} kappa={kappa}: {_gapstr(node)} breaks uniqueness"
                     )
-    return CheckResult("two-block-family-structure", instances)
 
 
 def run_checks(

@@ -176,6 +176,8 @@ class TestIntersect:
             for b in pool:
                 assert a.intersect(b) == b.intersect(a)
                 assert a.intersect(b).genus >= max(a.genus, b.genus)
+                # the union of two gap sets is itself closed, so it revalidates
+                assert NumericalSemigroup.from_gaps(a.intersect(b).gaps) == a.intersect(b)
         for a in pool[:6]:
             for b in pool[:6]:
                 for c in pool[:6]:

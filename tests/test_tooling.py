@@ -1,0 +1,30 @@
+"""How the package is run: the benchmark harness's smoke mode, and Python without asserts."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess[str]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, check=False
+    )
+
+
+def test_benchmark_smoke_passes():
+    """Tiny runs of every workload, traced and untraced, through the tracer's wrappers."""
+    result = run_python("perfbench/run.py", "--smoke")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] == "smoke ok"
+
+
+def test_verify_passes_with_asserts_stripped():
+    result = run_python("-O", "-m", "sparsegroup", "verify", "--max-genus", "5")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].endswith(": all passed")

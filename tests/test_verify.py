@@ -1,34 +1,51 @@
 from __future__ import annotations
 
+import sparsegroup.verify
 from sparsegroup import CheckResult, run_checks
+from sparsegroup.cli import main
 
-EXPECTED_NAMES = {
-    "tree-parent-roundtrip",
-    "arf-deciders-agree",
-    "arf-implies-sparse",
-    "leap-counts-sum-to-genus",
-    "hyperelliptic-leap-shape",
-    "unit-and-ordinary-signatures",
-    "sparse-leap-identities",
-    "kappa-deciders-agree",
-    "frobenius-equals-weighted-leaps",
-    "identity-matches-class",
-    "pure-run-agrees",
-    "pure-classes-partition",
-    "kappa-chain-strict",
-    "intersection-stays-in-class",
-    "adjunction-stays-in-class",
-    "pruned-equals-filtered",
-    "two-block-family-structure",
+# Every family, in run order, with its instance count over the census to genus 6.
+GENUS_SIX_INSTANCES = {
+    "tree-parent-roundtrip": 50,
+    "arf-deciders-agree": 50,
+    "arf-implies-sparse": 50,
+    "leap-counts-sum-to-genus": 50,
+    "hyperelliptic-leap-shape": 49,
+    "unit-and-ordinary-signatures": 50,
+    "sparse-leap-identities": 50,
+    "kappa-deciders-agree": 293,
+    "frobenius-equals-weighted-leaps": 50,
+    "identity-matches-class": 292,
+    "pure-run-agrees": 243,
+    "pure-classes-partition": 50,
+    "kappa-chain-strict": 349,
+    "intersection-stays-in-class": 2147,
+    "adjunction-stays-in-class": 203,
+    "pruned-equals-filtered": 35,
+    "two-block-family-structure": 29,
 }
 
 
 def test_every_family_passes_at_genus_six():
     results = run_checks(6)
-    assert {result.name for result in results} == EXPECTED_NAMES
     for result in results:
         assert result.passed, f"{result.name}: {result.counterexample}"
-        assert result.instances > 0
+    assert [(r.name, r.instances) for r in results] == list(GENUS_SIX_INSTANCES.items())
+
+
+def test_broken_decider_reports_first_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(sparsegroup.verify, "is_arf_stable", lambda semigroup: False)
+    results = {result.name: result for result in run_checks(3)}
+    failed = [name for name, result in results.items() if not result.passed]
+    assert failed == ["arf-deciders-agree"]
+    broken = results["arf-deciders-agree"]
+    assert broken.counterexample == "gaps=[]: triple=True doubling=True stable=False"
+    assert broken.instances == 1
+
+    assert main(["verify", "--max-genus", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL arf-deciders-agree: gaps=[]: triple=True doubling=True stable=False" in lines
+    assert lines[-1] == "checked 17 invariant families over genus <= 3: 1 failed"
 
 
 def test_check_result_reports_failure():

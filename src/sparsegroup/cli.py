@@ -13,13 +13,7 @@ from .core import (
     format_gap_line,
     parse_gap_line,
 )
-from .enumeration import (
-    CensusRow,
-    EnumerationRequest,
-    census,
-    enumerate_genus,
-    enumerate_kappa_sparse,
-)
+from .enumeration import CensusRow, EnumerationRequest, census, members
 from .ideals import is_arf_double
 from .kappa import (
     classify,
@@ -152,21 +146,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.arf and (args.kappa is not None or args.pure):
         raise SemigroupError("--arf cannot be combined with --kappa/--pure")
 
+    mode = "all"
+    if args.arf:
+        mode = "arf"
+    elif args.pure:
+        mode = "pure_kappa_sparse"
+    elif args.kappa is not None:
+        mode = "kappa_sparse"
+    request = EnumerationRequest(
+        max_genus=args.genus,
+        kappa_filter=args.kappa,
+        mode=mode,
+        emit="count_only" if args.count_only else "full",
+        cap=args.cap,
+    )
     if args.census:
-        mode = "all"
-        if args.arf:
-            mode = "arf"
-        elif args.pure:
-            mode = "pure_kappa_sparse"
-        elif args.kappa is not None:
-            mode = "kappa_sparse"
-        request = EnumerationRequest(
-            max_genus=args.genus,
-            kappa_filter=args.kappa,
-            mode=mode,
-            emit="count_only" if args.count_only else "full",
-            cap=args.cap,
-        )
         rows = census(request)
         if args.format == "tsv":
             print("\t".join(CENSUS_COLUMNS))
@@ -177,15 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             print(json.dumps(_census_rows_json(rows, with_profiles=request.emit == "full")))
         return 0
 
-    if args.kappa is not None:
-        stream = enumerate_kappa_sparse(args.genus, args.kappa, cap=args.cap)
-        if args.pure:
-            stream = (s for s in stream if is_pure_kappa_sparse(s, args.kappa))
-    else:
-        stream = enumerate_genus(args.genus, cap=args.cap)
-        if args.arf:
-            stream = (s for s in stream if is_arf_double(s))
-
+    stream = members(request)
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0

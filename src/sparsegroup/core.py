@@ -7,8 +7,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-# Constructors refuse semigroups whose conductor exceeds this; desk-scale
-# work never gets close and the bound keeps every scan trivially affordable.
+# Constructors refuse semigroups whose conductor exceeds this.  The cap bounds
+# size, not time: the closure check in ``from_gaps`` is O((c - g)^2), and for
+# the odd-gap semigroup <2, c + 1> it took 0.21 s at c = 8000 and 0.81 s at
+# c = 16000 (Python 3.11, 2 cores), so near the cap it would run for about an
+# hour.  ROADMAP direction 4 tracks a bounded-cost check.
 DEFAULT_MAX_CONDUCTOR = 1_000_000
 
 

@@ -67,51 +67,12 @@ def _walk(
                     stack.append((depth + 1, child))
 
 
-def _check_genus(genus: int, cap: int | None) -> None:
-    limit = genus_cap() if cap is None else cap
-    if genus < 0:
-        raise ValueError(f"genus must be non-negative, got {genus}")
-    if genus > limit:
-        raise LimitExceeded(f"genus {genus} exceeds the cap {limit}; raise the cap to go deeper")
-
-
-def enumerate_genus(
-    genus: int, *, cap: int | None = None
-) -> Iterator[NumericalSemigroup]:
-    """Every numerical semigroup with exactly ``genus`` gaps, each exactly once.
-
-    Results stream in depth-first tree order, so the output is deterministic.
-    """
-    _check_genus(genus, cap)
-    for depth, node in _walk(genus):
-        if depth == genus:
-            yield node
-
-
-def enumerate_kappa_sparse(
-    genus: int, kappa: int, *, cap: int | None = None
-) -> Iterator[NumericalSemigroup]:
-    """Genus-level slice of the kappa-sparse class, via sound subtree pruning.
-
-    Filling the largest gap keeps a semigroup in the class, so every ancestor
-    of a member is a member and cutting at the first non-member loses nothing.
-    kappa = 1 is the degenerate class holding only the full naturals.
-    """
-    _check_genus(genus, cap)
-    if not isinstance(kappa, int) or kappa < 1:
-        raise ValueError(f"kappa must be a positive integer, got {kappa!r}")
-    if kappa == 1:
-        if genus == 0:
-            yield NumericalSemigroup(())
-        return
-    for depth, node in _walk(genus, keep=lambda s: is_kappa_sparse(s, kappa)):
-        if depth == genus:
-            yield node
-
-
 @dataclass(frozen=True)
 class EnumerationRequest:
-    """Parameters for a census run over genus levels 0..max_genus."""
+    """A walk over genus levels 0..max_genus: the class it counts and how.
+
+    Every walk is checked here, once: the genus against the cap, and kappa.
+    """
 
     max_genus: int
     kappa_filter: int | None = None
@@ -144,6 +105,57 @@ class EnumerationRequest:
         return self.kappa_filter if self.kappa_filter is not None else 2
 
 
+def _universe(
+    request: EnumerationRequest,
+) -> tuple[Iterator[tuple[int, NumericalSemigroup]], Callable[[NumericalSemigroup], bool]]:
+    """The walk over the request's universe, and the test its class members pass.
+
+    Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
+    of a member is a member and the kappa modes prune at the first non-member.
+    At kappa = 1 that leaves only the full naturals.
+    """
+    kappa = request.kappa
+    if request.mode in ("kappa_sparse", "pure_kappa_sparse"):
+        nodes = _walk(request.max_genus, keep=lambda s: is_kappa_sparse(s, kappa))
+    else:
+        nodes = _walk(request.max_genus)
+    if request.mode == "pure_kappa_sparse":
+        return nodes, lambda node: sparseness_index(node) == kappa
+    if request.mode == "arf":
+        return nodes, is_arf_double
+    return nodes, lambda node: True
+
+
+def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
+    """The request's class members of genus ``max_genus``, in depth-first tree order.
+
+    The class test runs only at that genus, never on the nodes above it.
+    """
+    nodes, member = _universe(request)
+    for depth, node in nodes:
+        if depth == request.max_genus and member(node):
+            yield node
+
+
+def enumerate_genus(
+    genus: int, *, cap: int | None = None
+) -> Iterator[NumericalSemigroup]:
+    """Every numerical semigroup with exactly ``genus`` gaps, each exactly once.
+
+    Results stream in depth-first tree order, so the output is deterministic.
+    """
+    yield from members(EnumerationRequest(genus, cap=cap))
+
+
+def enumerate_kappa_sparse(
+    genus: int, kappa: int, *, cap: int | None = None
+) -> Iterator[NumericalSemigroup]:
+    """Genus-level slice of the kappa-sparse class, via sound subtree pruning."""
+    yield from members(
+        EnumerationRequest(genus, kappa_filter=kappa, mode="kappa_sparse", cap=cap)
+    )
+
+
 @dataclass
 class CensusRow:
     """Counts for a single genus level."""
@@ -170,26 +182,10 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     """
     kappa = request.kappa
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
-
-    if request.mode in ("kappa_sparse", "pure_kappa_sparse") and kappa >= 2:
-        nodes = _walk(request.max_genus, keep=lambda s: is_kappa_sparse(s, kappa))
-    elif request.mode in ("kappa_sparse", "pure_kappa_sparse"):
-        nodes = iter([(0, NumericalSemigroup(()))])  # kappa == 1
-    else:
-        nodes = _walk(request.max_genus)
-
-    if request.mode == "pure_kappa_sparse":
-        def selected(node):
-            return sparseness_index(node) == kappa
-    elif request.mode == "arf":
-        selected = is_arf_double
-    else:
-        def selected(node):
-            return True
-
+    nodes, member = _universe(request)
     with_profiles = request.emit == "full"
     for depth, node in nodes:
-        if not selected(node):
+        if not member(node):
             continue
         row = rows[depth]
         row.total += 1

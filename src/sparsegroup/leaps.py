@@ -85,8 +85,10 @@ def leap_set(semigroup: NumericalSemigroup) -> tuple[Leap, ...]:
 
 
 def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:
-    """Histogram of leap jumps."""
-    return LeapProfile.from_counts(Counter(leap.jump for leap in leap_set(semigroup)))
+    """Histogram of leap jumps, counted in one pass over the gaps."""
+    gaps = semigroup.gaps
+    counts = Counter(hi - lo for lo, hi in zip((-1,) + gaps, gaps))
+    return LeapProfile(tuple(sorted(counts.items())))
 
 
 def max_leap_jump(semigroup: NumericalSemigroup) -> int:

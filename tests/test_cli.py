@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sparsegroup import is_arf_double, is_kappa_sparse, is_pure_kappa_sparse
 from sparsegroup.cli import main
 
 
@@ -182,6 +183,31 @@ class TestEnumerate:
         filtered = int(out.strip())
         code, out, _ = run(capsys, "enumerate", "--genus", "4", "--count-only")
         assert filtered < int(out.strip())
+
+    @pytest.mark.parametrize(
+        "flags, in_class",
+        [
+            ((), lambda s: True),
+            (("--kappa", "3"), lambda s: is_kappa_sparse(s, 3)),
+            (("--kappa", "3", "--pure"), lambda s: is_pure_kappa_sparse(s, 3)),
+            (("--arf",), is_arf_double),
+            (("--kappa", "1"), lambda s: is_kappa_sparse(s, 1)),
+            (("--kappa", "1", "--pure"), lambda s: is_pure_kappa_sparse(s, 1)),
+        ],
+        ids=["all", "kappa3", "kappa3-pure", "arf", "kappa1", "kappa1-pure"],
+    )
+    def test_stream_matches_census_and_filtered_level(self, capsys, level, flags, in_class):
+        code, out, _ = run(capsys, "enumerate", "--genus", "7", "--census", "--count-only", *flags)
+        assert code == 0
+        totals = [row["total"] for row in json.loads(out)]
+        for g in range(8):
+            code, out, _ = run(capsys, "enumerate", "--genus", str(g), "--count-only", *flags)
+            assert code == 0
+            assert int(out) == totals[g], g
+            code, out, _ = run(capsys, "enumerate", "--genus", str(g), *flags)
+            assert code == 0
+            streamed = [json.loads(line)["gaps"] for line in out.splitlines()]
+            assert streamed == [list(s.gaps) for s in level(g) if in_class(s)], g
 
     def test_pure_needs_kappa(self, capsys):
         code, _, err = run(capsys, "enumerate", "--genus", "3", "--pure")

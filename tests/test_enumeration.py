@@ -188,15 +188,16 @@ class TestCensus:
             assert row.per_class["arf"] == row.total
             assert row.per_class["arf"] <= len(level(row.genus))
 
-    def test_kappa_mode_restricts_the_universe(self, level):
-        rows = census(EnumerationRequest(max_genus=6, kappa_filter=3, mode="kappa_sparse"))
+    @pytest.mark.parametrize("kappa", [1, 3])
+    def test_kappa_mode_restricts_the_universe(self, level, kappa):
+        rows = census(EnumerationRequest(max_genus=6, kappa_filter=kappa, mode="kappa_sparse"))
         for row in rows:
-            members = [node for node in level(row.genus) if is_kappa_sparse(node, 3)]
+            members = [node for node in level(row.genus) if is_kappa_sparse(node, kappa)]
             assert row.total == len(members)
             assert row.per_class["kappa_sparse"] == row.total
             assert row.per_class["sparse"] == sum(1 for node in members if is_sparse(node))
             assert row.per_class["pure_kappa_sparse"] == sum(
-                1 for node in members if is_pure_kappa_sparse(node, 3)
+                1 for node in members if is_pure_kappa_sparse(node, kappa)
             ), row.genus
         assert rows[0].total == 1  # the full naturals
 
@@ -209,7 +210,13 @@ class TestCensus:
             )
 
     def test_profile_histogram_sums_to_total(self):
-        for mode, kappa in [("all", None), ("kappa_sparse", 3), ("pure_kappa_sparse", 4)]:
+        for mode, kappa in [
+            ("all", None),
+            ("kappa_sparse", 3),
+            ("pure_kappa_sparse", 4),
+            ("kappa_sparse", 1),
+            ("pure_kappa_sparse", 1),
+        ]:
             rows = census(EnumerationRequest(max_genus=6, mode=mode, kappa_filter=kappa))
             for row in rows:
                 assert sum(row.profile_histogram.values()) == row.total

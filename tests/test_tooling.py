@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,14 @@ def test_verify_passes_with_asserts_stripped():
     result = run_python("-O", "-m", "sparsegroup", "verify", "--max-genus", "5")
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].endswith(": all passed")
+
+
+def test_library_has_no_assert():
+    """``python -O`` strips asserts, so no library check may be written as one."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "sparsegroup").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -36,7 +36,9 @@ def children(semigroup: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
     """Tree children: remove one minimal generator above the Frobenius number.
 
     Each child has genus one higher and maps back to its parent by filling the
-    largest gap; children come ordered by the removed generator.
+    largest gap; children come ordered by the removed generator.  This is the
+    reference that the incremental step of ``_walk`` is checked against, by
+    ``verify`` and the tests: it recomputes the minimal generators from scratch.
     """
     frobenius = semigroup.frobenius
     return tuple(
@@ -53,18 +55,45 @@ def _walk(
     """Depth-first preorder over the tree, truncated below ``max_genus``.
 
     ``keep`` prunes: a node failing it is skipped along with its whole subtree.
+
+    The step is the decomposition-number method of Fromentin and Hivert,
+    "Exploring the tree of numerical semigroups" (Math. Comp. 2016).  A node's
+    ``dec[n]`` counts the ways to write n = a + b with a <= b both members, so
+    n is a member iff ``dec[n] > 0``.  The minimal generators above the
+    Frobenius number F are the x in [F + 1, F + m] with ``dec[x] == 1``, m the
+    multiplicity.  Removing x lowers ``dec[y]`` by one wherever y - x is a
+    member.  A node of genus g has F + m <= 3g, so ``3 * max_genus + 3``
+    entries always suffice.  Each stack entry carries its parent's list, and a
+    node makes its own only when popped at a depth below ``max_genus``, so
+    leaves and pruned nodes never pay for one.
     """
     root = NumericalSemigroup(())
     if keep is not None and not keep(root):
         return
-    stack = [(0, root)]
+    size = 3 * max_genus + 3
+    stack: list[tuple[int, NumericalSemigroup, int, list[int] | None]] = [(0, root, 1, None)]
     while stack:
-        depth, node = stack.pop()
+        depth, node, multiplicity, parent_dec = stack.pop()
         yield depth, node
         if depth < max_genus:
-            for child in reversed(children(node)):
-                if keep is None or keep(child):
-                    stack.append((depth + 1, child))
+            gaps = node.gaps
+            if parent_dec is None:
+                start = 1
+                dec = [n // 2 + 1 for n in range(size)]
+            else:
+                removed = gaps[-1]
+                start = removed + 1
+                dec = parent_dec[:removed] + [
+                    d - 1 if below else d
+                    for d, below in zip(parent_dec[removed:], parent_dec)
+                ]
+            for x in reversed(range(start, start + multiplicity)):
+                if dec[x] == 1:
+                    child = NumericalSemigroup(gaps + (x,))
+                    if keep is None or keep(child):
+                        # removing the multiplicity happens only at ordinary nodes
+                        lowest = multiplicity + 1 if x == multiplicity else multiplicity
+                        stack.append((depth + 1, child, lowest, dec))
 
 
 @dataclass(frozen=True)
@@ -184,6 +213,8 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
     nodes, member = _universe(request)
     with_profiles = request.emit == "full"
+    # in Arf mode the member test has already decided Arf
+    arf_decided = request.mode == "arf"
     for depth, node in nodes:
         if not member(node):
             continue
@@ -191,7 +222,7 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
         row.total += 1
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
         index = sparseness_index(node)
-        if is_arf_double(node):
+        if arf_decided or is_arf_double(node):
             row.per_class["arf"] += 1
         if index <= 2:
             row.per_class["sparse"] += 1

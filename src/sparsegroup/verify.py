@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import wraps
 
 from .core import NumericalSemigroup, ordinary
-from .enumeration import children, enumerate_genus, enumerate_kappa_sparse
+from .enumeration import EnumerationRequest, _walk, children, enumerate_kappa_sparse
 from .ideals import is_arf_definition, is_arf_double, is_arf_stable
 from .kappa import (
     example_family,
@@ -82,19 +82,28 @@ def _nodes(levels: Levels) -> Iterator[NumericalSemigroup]:
 
 @_family("tree-parent-roundtrip")
 def _tree_roundtrip(levels: Levels) -> Instances:
-    """Every node revalidates, is unique on its level, and is a child of its parent."""
+    """Every node revalidates, is unique on its level, and is a child of its parent.
+
+    Each level is also complete: its size is the number of children, by the
+    reference ``children``, of the level above.
+    """
+    offspring: dict[NumericalSemigroup, tuple[NumericalSemigroup, ...]] = {}
     for genus, level in enumerate(levels):
         if len(set(level)) != len(level):
             yield f"duplicates at genus {genus}"
+        if genus > 0 and len(level) != (made := sum(map(len, offspring.values()))):
+            yield f"genus {genus}: {len(level)} nodes, but genus {genus - 1} has {made} children"
         for node in level:
             try:
                 NumericalSemigroup.from_gaps(node.gaps)
             except Exception as exc:  # noqa: BLE001
                 yield f"{_gapstr(node)}: {exc}"
-            if genus == 0 or node in children(parent := node.adjoin_frobenius()):
+            if genus == 0 or node in offspring.get(parent := node.adjoin_frobenius(), ()):
                 yield None
             else:
                 yield f"{_gapstr(node)} is not a child of {_gapstr(parent)}"
+        if genus + 1 < len(levels):
+            offspring = {node: children(node) for node in level}
 
 
 @_family("arf-deciders-agree")
@@ -314,9 +323,10 @@ def run_checks(
     kappa_limit: int = 6,
 ) -> list[CheckResult]:
     """Run every invariant family over the census of genus at most ``max_genus``."""
-    if max_genus < 0:
-        raise ValueError(f"max_genus must be non-negative, got {max_genus}")
-    levels: Levels = [list(enumerate_genus(g)) for g in range(max_genus + 1)]
+    EnumerationRequest(max_genus)  # rejects a negative genus or one above the cap
+    levels: Levels = [[] for _ in range(max_genus + 1)]
+    for depth, node in _walk(max_genus):
+        levels[depth].append(node)
     pair_genus = min(pair_genus, max_genus)
     return [
         _tree_roundtrip(levels),

@@ -18,9 +18,10 @@ from sparsegroup import (
     is_sparse,
     ordinary,
 )
-from sparsegroup.enumeration import GENUS_CAP_ENV
+from sparsegroup import enumeration
+from sparsegroup.enumeration import GENUS_CAP_ENV, _walk
 
-from oracle import KNOWN_LEVEL_SIZES, brute_force_gap_sets
+from oracle import KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -44,6 +45,34 @@ class TestChildren:
                 for child in children(node):
                     assert child.genus == node.genus + 1
                     assert child.adjoin_frobenius() == node
+
+
+def reference_walk(max_genus, keep=None):
+    """Depth-first preorder built from the reference ``children``, pruned by ``keep``."""
+
+    def visit(depth, node):
+        yield depth, node
+        if depth < max_genus:
+            for child in children(node):
+                if keep is None or keep(child):
+                    yield from visit(depth + 1, child)
+
+    if keep is None or keep(gs()):
+        yield from visit(0, gs())
+
+
+class TestWalk:
+    @pytest.mark.parametrize("kappa", [None, 1, 2, 3, 4])
+    def test_matches_the_reference_walk_in_order(self, kappa):
+        keep = None if kappa is None else (lambda s: is_kappa_sparse(s, kappa))
+        for max_genus in range(13):
+            assert list(_walk(max_genus, keep)) == list(reference_walk(max_genus, keep))
+
+    def test_published_level_sizes(self):
+        sizes = [0] * len(PUBLISHED_LEVEL_SIZES)
+        for depth, _ in _walk(len(PUBLISHED_LEVEL_SIZES) - 1):
+            sizes[depth] += 1
+        assert tuple(sizes) == PUBLISHED_LEVEL_SIZES
 
 
 class TestEnumerateGenus:
@@ -179,6 +208,19 @@ class TestCensus:
         rows = census(EnumerationRequest(max_genus=2))
         assert [row.total for row in rows] == [1, 1, 2]
         assert all(row.per_class["sparse"] == row.total for row in rows)
+
+    def test_arf_mode_decides_arf_once_per_node(self, monkeypatch):
+        calls = []
+
+        def counted(semigroup):
+            calls.append(semigroup)
+            return is_arf_double(semigroup)
+
+        monkeypatch.setattr(enumeration, "is_arf_double", counted)
+        request = EnumerationRequest(max_genus=10, mode="arf", emit="count_only")
+        rows = census(request)
+        assert len(calls) == len(set(calls)) == 478  # every node to genus 10, once
+        assert sum(row.per_class["arf"] for row in rows) == sum(row.total for row in rows)
 
     def test_arf_mode_filters_the_universe(self, level):
         rows = census(EnumerationRequest(max_genus=7, mode="arf"))

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 import sparsegroup.verify
-from sparsegroup import CheckResult, run_checks
+from sparsegroup import CheckResult, LimitExceeded, enumerate_genus, run_checks
 from sparsegroup.cli import main
+from sparsegroup.enumeration import GENUS_CAP_ENV
 
 # Every family, in run order, with its instance count over the census to genus 6.
 GENUS_SIX_INSTANCES = {
@@ -52,3 +55,19 @@ def test_check_result_reports_failure():
     failing = CheckResult("example", 3, counterexample="gaps=[1]")
     assert not failing.passed
     assert CheckResult("example", 3).passed
+
+
+def test_tree_roundtrip_catches_a_missing_node():
+    levels = [list(enumerate_genus(g)) for g in range(4)]
+    del levels[3][0]
+    result = sparsegroup.verify._tree_roundtrip(levels)
+    assert result.counterexample == "genus 3: 3 nodes, but genus 2 has 4 children"
+    assert result.instances == 5
+
+
+def test_run_checks_respects_the_genus_cap(monkeypatch):
+    monkeypatch.setenv(GENUS_CAP_ENV, "3")
+    with pytest.raises(LimitExceeded):
+        run_checks(4)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_checks(-1)

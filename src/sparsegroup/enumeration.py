@@ -213,15 +213,16 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
     nodes, member = _universe(request)
     with_profiles = request.emit == "full"
-    # in Arf mode the member test has already decided Arf
+    # in Arf mode the member test has already decided Arf, in pure mode the index
     arf_decided = request.mode == "arf"
+    index_decided = request.mode == "pure_kappa_sparse"
     for depth, node in nodes:
         if not member(node):
             continue
         row = rows[depth]
         row.total += 1
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
-        index = sparseness_index(node)
+        index = kappa if index_decided else sparseness_index(node)
         if arf_decided or is_arf_double(node):
             row.per_class["arf"] += 1
         if index <= 2:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, SemigroupError, ordinary
+from .core import NumericalSemigroup, SemigroupError
 from .ideals import is_arf_double
-from .leaps import Leap, LeapProfile, is_hyperelliptic, leap_profile, leap_set, max_leap_jump
+from .leaps import Leap, LeapProfile, is_hyperelliptic, leap_profile, max_leap_jump
 
 
 class InvalidParameters(SemigroupError):
@@ -54,12 +54,15 @@ def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
 
     Only the run's starting point must be a positive member below the
     conductor; the run itself may cross it.  Only defined for kappa >= 2.
+    Bit x of ``starts`` is set when x, ..., x + kappa - 1 are all members.
     """
     _require_kappa(kappa, 2)
-    return not any(
-        all((x + d) in semigroup for d in range(kappa))
-        for x in semigroup.small_elements[1:-1]
-    )
+    conductor = semigroup.conductor
+    members = ((1 << (conductor + kappa)) - 1) & ~semigroup.gap_mask
+    starts = members
+    for d in range(1, kappa):
+        starts &= members >> d
+    return not (starts & ((1 << conductor) - 1)) >> 1
 
 
 def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -128,7 +131,10 @@ def sparseness_report(semigroup: NumericalSemigroup, kappa: int) -> SparsenessRe
     """Run every decision procedure applicable at ``kappa`` and report the index."""
     _require_kappa(kappa, 1)
     index = sparseness_index(semigroup)
-    witness = next((leap for leap in leap_set(semigroup) if leap.jump == index), None)
+    gaps = semigroup.gaps
+    witness = next(
+        (Leap(lo, hi) for lo, hi in zip((-1,) + gaps, gaps) if hi - lo == index), None
+    )
     checks = [
         ("profile_sum", is_kappa_sparse_profile(semigroup, kappa)),
         ("gap_spacing", is_kappa_sparse_gapdiff(semigroup, kappa)),
@@ -167,7 +173,7 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
     genus = semigroup.genus
     if genus == 0:
         label = "trivial"
-    elif semigroup == ordinary(genus):
+    elif semigroup.conductor == genus + 1:  # genus gaps below genus + 1: exactly 1..genus
         label = "ordinary"
     elif arf:
         label = "arf"

@@ -18,10 +18,13 @@ PUBLISHED_LEVEL_SIZES = (
 )
 
 
-def complement_is_closed(gaps: tuple[int, ...]) -> bool:
-    """Whether the complement of the gap set is closed under addition."""
+def closure_violation(gaps: tuple[int, ...]) -> tuple[int, int] | None:
+    """The lexicographically first non-gaps x <= y whose sum is a gap, by scanning pairs.
+
+    Only sums at or below the largest gap can be gaps, so each x stops there.
+    """
     if not gaps:
-        return True
+        return None
     top = max(gaps)
     gapset = set(gaps)
     members = [n for n in range(1, top) if n not in gapset]
@@ -30,8 +33,23 @@ def complement_is_closed(gaps: tuple[int, ...]) -> bool:
             if x + y > top:
                 break
             if x + y in gapset:
-                return False
-    return True
+                return x, y
+    return None
+
+
+def complement_is_closed(gaps: tuple[int, ...]) -> bool:
+    """Whether the complement of the gap set is closed under addition."""
+    return closure_violation(gaps) is None
+
+
+def first_member_run(gaps: tuple[int, ...], kappa: int) -> int | None:
+    """The least positive member below the conductor that starts kappa consecutive members."""
+    gapset = set(gaps)
+    conductor = max(gaps) + 1 if gaps else 0
+    for x in range(1, conductor):
+        if all(x + d not in gapset for d in range(kappa)):
+            return x
+    return None
 
 
 def brute_force_gap_sets(genus: int) -> list[tuple[int, ...]]:

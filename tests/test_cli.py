@@ -151,6 +151,14 @@ class TestClassify:
         assert record["figure_class"] == "trivial"
         assert record["pure_witness"] is None
 
+    def test_file_line_that_is_not_a_semigroup(self, capsys, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text("1,2,3,7\n1,3,4\n1,2\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --file {path} line 2: 2 and 2 are non-gaps but their sum 4 is a gap\n"
+
 
 class TestEnumerate:
     def test_json_lines(self, capsys):

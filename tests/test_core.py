@@ -15,7 +15,7 @@ from sparsegroup import (
     parse_gap_line,
 )
 
-from oracle import brute_force_from_generators
+from oracle import brute_force_from_generators, closure_violation
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -38,6 +38,19 @@ class TestFromGaps:
     def test_closure_violation_rejected(self):
         with pytest.raises(NotASemigroup):
             gs(1, 3, 4)  # 2 is a member and 2 + 2 = 4 is a gap
+
+    def test_every_small_gap_set_matches_the_pair_scan(self):
+        # all 2^14 subsets of 1..14, accepted or named by the same first pair
+        for bits in range(1 << 14):
+            gaps = tuple(n for n in range(1, 15) if bits >> (n - 1) & 1)
+            violation = closure_violation(gaps)
+            if violation is None:
+                assert gs(*gaps).gaps == gaps
+                continue
+            x, y = violation
+            with pytest.raises(NotASemigroup) as excinfo:
+                gs(*gaps)
+            assert str(excinfo.value) == f"{x} and {y} are non-gaps but their sum {x + y} is a gap"
 
     @pytest.mark.parametrize("bad", [0, -3, "5", 2.5])
     def test_bad_gap_values_rejected(self, bad):

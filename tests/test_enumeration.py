@@ -17,6 +17,7 @@ from sparsegroup import (
     is_pure_kappa_sparse,
     is_sparse,
     ordinary,
+    sparseness_index,
 )
 from sparsegroup import enumeration
 from sparsegroup.enumeration import GENUS_CAP_ENV, _walk
@@ -221,6 +222,21 @@ class TestCensus:
         rows = census(request)
         assert len(calls) == len(set(calls)) == 478  # every node to genus 10, once
         assert sum(row.per_class["arf"] for row in rows) == sum(row.total for row in rows)
+
+    def test_pure_mode_computes_the_index_once_per_node(self, monkeypatch):
+        # the kappa-sparse census walks the same pruned tree and counts every node
+        walked = census(EnumerationRequest(max_genus=10, kappa_filter=3, mode="kappa_sparse"))
+        nodes = sum(row.total for row in walked)
+        calls = []
+
+        def counted(semigroup):
+            calls.append(semigroup)
+            return sparseness_index(semigroup)
+
+        monkeypatch.setattr(enumeration, "sparseness_index", counted)
+        rows = census(EnumerationRequest(max_genus=10, kappa_filter=3, mode="pure_kappa_sparse"))
+        assert len(calls) == len(set(calls)) == nodes == 226
+        assert all(row.per_class["pure_kappa_sparse"] == row.total for row in rows)
 
     def test_arf_mode_filters_the_universe(self, level):
         rows = census(EnumerationRequest(max_genus=7, mode="arf"))

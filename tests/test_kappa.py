@@ -15,6 +15,7 @@ from sparsegroup import (
     is_kappa_sparse_run,
     is_pure_kappa_sparse,
     leap_profile,
+    leap_set,
     ordinary,
     sparseness_index,
     sparseness_report,
@@ -189,10 +190,11 @@ class TestReport:
                     report = sparseness_report(node, kappa)
                     assert len({value for _, value in report.checks}) == 1
                     assert report.kappa_index == sparseness_index(node)
-                    if node.genus == 0:
-                        assert report.pure_witness is None
-                    else:
-                        assert report.pure_witness.jump == report.kappa_index
+                    first = next(
+                        (leap for leap in leap_set(node) if leap.jump == report.kappa_index), None
+                    )
+                    assert report.pure_witness == first
+                    assert (first is None) == (node.genus == 0)
 
     def test_kappa_one_reports_two_checks(self):
         report = sparseness_report(gs(1), 1)

@@ -15,7 +15,7 @@ from functools import cached_property
 # 2 cores), where the old pair scan took 0.31 s and 1.1 s at the first two.
 # Many small generators keep it quadratic: with the odd numbers in [m, 2m) as
 # generators it took 0.84 s at c = 2 * 10^5 and 23 s at c = 10^6.  ROADMAP
-# direction 4 tracks a bound.
+# direction 2 tracks a bound.
 DEFAULT_MAX_CONDUCTOR = 1_000_000
 
 
@@ -125,6 +125,18 @@ class NumericalSemigroup:
 
     # ------------------------------------------------------------------
     # constructors
+
+    @classmethod
+    def _unchecked(cls, gaps: tuple[int, ...]) -> NumericalSemigroup:
+        """Construction without the ``__post_init__`` scan, for gaps valid by construction.
+
+        For the gap tuples of the tree walk.  The tests check the walk against
+        ``children()``, and ``verify`` revalidates every node it builds this
+        way with ``from_gaps``.
+        """
+        semigroup = object.__new__(cls)
+        object.__setattr__(semigroup, "gaps", gaps)
+        return semigroup
 
     @classmethod
     def from_gaps(

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 from .core import LimitExceeded, NumericalSemigroup
 from .ideals import is_arf_double
-from .kappa import is_kappa_sparse, sparseness_index
-from .leaps import LeapProfile, leap_profile
+from .leaps import LeapProfile
 
 DEFAULT_GENUS_CAP = 18
 GENUS_CAP_ENV = "SPARSEGROUP_MAX_GENUS"
@@ -50,11 +49,18 @@ def children(semigroup: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
 
 def _walk(
     max_genus: int,
-    keep: Callable[[NumericalSemigroup], bool] | None = None,
-) -> Iterator[tuple[int, NumericalSemigroup]]:
+    keep: Callable[[int], bool] | None = None,
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Depth-first preorder over the tree, truncated below ``max_genus``.
 
-    ``keep`` prunes: a node failing it is skipped along with its whole subtree.
+    Yields ``(depth, gaps, index)`` per node, with ``index`` its sparseness
+    index: the largest leap jump, 1 at the root.  No ``NumericalSemigroup``
+    is built.  ``keep`` prunes on the index: a node whose index fails it is
+    skipped along with its whole subtree.  It is called on the root and on
+    every candidate child, before the child is stacked.
+
+    A child that removes x from a node with Frobenius number F adds exactly
+    one leap, (F, x), so its index is the larger of the node's and x - F.
 
     The step is the decomposition-number method of Fromentin and Hivert,
     "Exploring the tree of numerical semigroups" (Math. Comp. 2016).  A node's
@@ -67,33 +73,34 @@ def _walk(
     node makes its own only when popped at a depth below ``max_genus``, so
     leaves and pruned nodes never pay for one.
     """
-    root = NumericalSemigroup(())
-    if keep is not None and not keep(root):
+    if keep is not None and not keep(1):
         return
     size = 3 * max_genus + 3
-    stack: list[tuple[int, NumericalSemigroup, int, list[int] | None]] = [(0, root, 1, None)]
+    # depth, gaps, multiplicity, index, parent's dec list
+    stack: list[tuple[int, tuple[int, ...], int, int, list[int] | None]] = [
+        (0, (), 1, 1, None)
+    ]
     while stack:
-        depth, node, multiplicity, parent_dec = stack.pop()
-        yield depth, node
+        depth, gaps, multiplicity, index, parent_dec = stack.pop()
+        yield depth, gaps, index
         if depth < max_genus:
-            gaps = node.gaps
             if parent_dec is None:
-                start = 1
+                frobenius, start = -1, 1
                 dec = [n // 2 + 1 for n in range(size)]
             else:
-                removed = gaps[-1]
-                start = removed + 1
-                dec = parent_dec[:removed] + [
+                frobenius = gaps[-1]
+                start = frobenius + 1
+                dec = parent_dec[:frobenius] + [
                     d - 1 if below else d
-                    for d, below in zip(parent_dec[removed:], parent_dec)
+                    for d, below in zip(parent_dec[frobenius:], parent_dec)
                 ]
             for x in reversed(range(start, start + multiplicity)):
                 if dec[x] == 1:
-                    child = NumericalSemigroup(gaps + (x,))
-                    if keep is None or keep(child):
+                    child_index = max(index, x - frobenius)
+                    if keep is None or keep(child_index):
                         # removing the multiplicity happens only at ordinary nodes
                         lowest = multiplicity + 1 if x == multiplicity else multiplicity
-                        stack.append((depth + 1, child, lowest, dec))
+                        stack.append((depth + 1, gaps + (x,), lowest, child_index, dec))
 
 
 @dataclass(frozen=True)
@@ -134,35 +141,33 @@ class EnumerationRequest:
         return self.kappa_filter if self.kappa_filter is not None else 2
 
 
-def _universe(
-    request: EnumerationRequest,
-) -> tuple[Iterator[tuple[int, NumericalSemigroup]], Callable[[NumericalSemigroup], bool]]:
-    """The walk over the request's universe, and the test its class members pass.
+def _universe(request: EnumerationRequest) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The walk over the request's universe.
 
     Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
     of a member is a member and the kappa modes prune at the first non-member.
-    At kappa = 1 that leaves only the full naturals.
+    At kappa = 1 that leaves only the full naturals.  The pure and Arf modes
+    pick their members out of what the walk yields.
     """
     kappa = request.kappa
     if request.mode in ("kappa_sparse", "pure_kappa_sparse"):
-        nodes = _walk(request.max_genus, keep=lambda s: is_kappa_sparse(s, kappa))
-    else:
-        nodes = _walk(request.max_genus)
-    if request.mode == "pure_kappa_sparse":
-        return nodes, lambda node: sparseness_index(node) == kappa
-    if request.mode == "arf":
-        return nodes, is_arf_double
-    return nodes, lambda node: True
+        return _walk(request.max_genus, keep=lambda index: index <= kappa)
+    return _walk(request.max_genus)
 
 
 def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
     """The request's class members of genus ``max_genus``, in depth-first tree order.
 
-    The class test runs only at that genus, never on the nodes above it.
+    The class test runs only at that genus, never on the nodes above it, and
+    only the members handed out are built as objects.
     """
-    nodes, member = _universe(request)
-    for depth, node in nodes:
-        if depth == request.max_genus and member(node):
+    pure = request.mode == "pure_kappa_sparse"
+    arf = request.mode == "arf"
+    for depth, gaps, index in _universe(request):
+        if depth != request.max_genus or (pure and index != request.kappa):
+            continue
+        node = NumericalSemigroup._unchecked(gaps)
+        if not arf or is_arf_double(node):
             yield node
 
 
@@ -202,29 +207,54 @@ class CensusRow:
     profile_histogram: dict[LeapProfile, int] = field(default_factory=dict)
 
 
+def _add_leap(counts: tuple[int, ...], jump: int) -> tuple[int, ...]:
+    """Leap counts indexed by jump, with one more leap of ``jump``."""
+    if jump < len(counts):
+        return counts[:jump] + (counts[jump] + 1,) + counts[jump + 1 :]
+    return counts + (0,) * (jump - len(counts)) + (1,)
+
+
 def census(request: EnumerationRequest) -> list[CensusRow]:
     """One row per genus with totals, class counts, and the profile histogram.
 
     The mode selects the universe being counted (everything, a kappa-sparse
     class, its pure part, or the Arf members); class columns are evaluated
     inside that universe.  Output is deterministic across runs.
+
+    Nothing is recomputed from a node's gaps that its parent already knows.
+    The walk carries the index.  A child's leaps are its parent's plus one,
+    so its leap counts are the parent's with one jump added.  Arf semigroups
+    form a Frobenius variety (Rosales and Garcia-Sanchez, "Numerical
+    Semigroups", 2009): filling the largest gap keeps a semigroup Arf, so a
+    child of a non-Arf node is never Arf, and only the root and the children
+    of Arf nodes are tested.
     """
     kappa = request.kappa
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
-    nodes, member = _universe(request)
     with_profiles = request.emit == "full"
-    # in Arf mode the member test has already decided Arf, in pure mode the index
-    arf_decided = request.mode == "arf"
-    index_decided = request.mode == "pure_kappa_sparse"
-    for depth, node in nodes:
-        if not member(node):
+    pure_only = request.mode == "pure_kappa_sparse"
+    arf_only = request.mode == "arf"
+    # The walk is preorder, so a node's parent is the last node yielded one
+    # level up.  Slot d + 1 holds what the last node at depth d passes to its
+    # children; slot 0 stands in for the root's parent.
+    arf_slots = [True] * (request.max_genus + 2)
+    leap_slots: list[tuple[int, ...]] = [()] * (request.max_genus + 2)
+    histograms: list[dict[tuple[int, ...], int]] = [{} for _ in rows]
+    for depth, gaps, index in _universe(request):
+        arf = arf_slots[depth] and is_arf_double(NumericalSemigroup._unchecked(gaps))
+        arf_slots[depth + 1] = arf
+        if with_profiles:
+            counts = leap_slots[depth]
+            if depth:
+                counts = _add_leap(counts, gaps[-1] - (gaps[-2] if depth > 1 else -1))
+            leap_slots[depth + 1] = counts
+        if (arf_only and not arf) or (pure_only and index != kappa):
             continue
         row = rows[depth]
         row.total += 1
-        # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
-        index = kappa if index_decided else sparseness_index(node)
-        if arf_decided or is_arf_double(node):
+        if arf:
             row.per_class["arf"] += 1
+        # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
         if index <= 2:
             row.per_class["sparse"] += 1
         if index <= kappa:
@@ -232,6 +262,11 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
         if index == kappa:
             row.per_class["pure_kappa_sparse"] += 1
         if with_profiles:
-            profile = leap_profile(node)
-            row.profile_histogram[profile] = row.profile_histogram.get(profile, 0) + 1
+            histogram = histograms[depth]
+            histogram[counts] = histogram.get(counts, 0) + 1
+    for row, histogram in zip(rows, histograms):
+        row.profile_histogram = {
+            LeapProfile(tuple((jump, n) for jump, n in enumerate(counts) if n)): count
+            for counts, count in histogram.items()
+        }
     return rows

@@ -52,17 +52,31 @@ def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
 def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via runs: no kappa consecutive members start below the conductor.
 
-    Only the run's starting point must be a positive member below the
-    conductor; the run itself may cross it.  Only defined for kappa >= 2.
+    The run's starting point must be a positive member below the conductor
+    c.  Such a run also ends below c, because c - 1 is a gap, so every mask
+    covers [0, c).  Only defined for kappa >= 2.
     Bit x of ``starts`` is set when x, ..., x + kappa - 1 are all members.
+
+    Runs are built by doubling, O(log kappa) big-int operations: if ``run``
+    marks the starts of k consecutive members, ``run & (run >> k)`` marks
+    those of 2k, and ``starts`` collects one such block per binary digit of
+    kappa, each shifted past the blocks before it.
     """
     _require_kappa(kappa, 2)
-    conductor = semigroup.conductor
-    members = ((1 << (conductor + kappa)) - 1) & ~semigroup.gap_mask
-    starts = members
-    for d in range(1, kappa):
-        starts &= members >> d
-    return not (starts & ((1 << conductor) - 1)) >> 1
+    run = ((1 << semigroup.conductor) - 1) & ~semigroup.gap_mask  # runs of length 1
+    length = 1
+    starts = run & ~1  # candidate starts: the positive members below c
+    covered = 0  # run length that ``starts`` already checks
+    remaining = kappa
+    while True:
+        if remaining & 1:
+            starts &= run >> covered
+            covered += length
+        remaining >>= 1
+        if not remaining:
+            return not starts
+        run &= run >> length
+        length *= 2
 
 
 def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -165,9 +179,11 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
     """Full classification, labelled by the most specific class in the chain.
 
     The chain runs trivial < ordinary < arf < sparse < pure-kappa-sparse, and
-    every semigroup is pure for exactly one kappa, its sparseness index.
+    every semigroup is pure for exactly one kappa, its sparseness index,
+    read here off the leap profile as its largest jump.
     """
-    index = sparseness_index(semigroup)
+    profile = leap_profile(semigroup)
+    index = profile.max_jump or 1  # the full naturals have no leap and index 1
     sparse = index <= 2
     arf = is_arf_double(semigroup)
     genus = semigroup.genus
@@ -190,6 +206,6 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
         arf=arf,
         sparse=sparse,
         sparseness_index=index,
-        profile=leap_profile(semigroup),
+        profile=profile,
         figure_class=label,
     )

@@ -325,8 +325,8 @@ def run_checks(
     """Run every invariant family over the census of genus at most ``max_genus``."""
     EnumerationRequest(max_genus)  # rejects a negative genus or one above the cap
     levels: Levels = [[] for _ in range(max_genus + 1)]
-    for depth, node in _walk(max_genus):
-        levels[depth].append(node)
+    for depth, gaps, _ in _walk(max_genus):
+        levels[depth].append(NumericalSemigroup._unchecked(gaps))
     pair_genus = min(pair_genus, max_genus)
     return [
         _tree_roundtrip(levels),

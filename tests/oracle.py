@@ -43,12 +43,21 @@ def complement_is_closed(gaps: tuple[int, ...]) -> bool:
 
 
 def first_member_run(gaps: tuple[int, ...], kappa: int) -> int | None:
-    """The least positive member below the conductor that starts kappa consecutive members."""
+    """The least positive member below the conductor that starts kappa consecutive members.
+
+    One scan upward from 1, counting the members since the last gap: the first
+    time the count reaches kappa, the run started kappa - 1 numbers back.
+    Every number from the conductor up is a member, so the scan ends by
+    conductor + kappa - 1.
+    """
     gapset = set(gaps)
     conductor = max(gaps) + 1 if gaps else 0
-    for x in range(1, conductor):
-        if all(x + d not in gapset for d in range(kappa)):
-            return x
+    run = 0
+    for n in range(1, conductor + kappa):
+        run = 0 if n in gapset else run + 1
+        if run == kappa:
+            start = n - kappa + 1
+            return start if start < conductor else None
     return None
 
 

@@ -258,3 +258,9 @@ class TestValueSemantics:
     def test_equality_and_hashing_are_structural(self):
         assert gs(1, 2, 4) == NumericalSemigroup((1, 2, 4))
         assert len({gs(1, 3), NumericalSemigroup((1, 3)), gs(1, 2)}) == 2
+
+    def test_unchecked_construction_is_the_same_value(self):
+        trusted = NumericalSemigroup._unchecked((1, 2, 4))
+        assert trusted == gs(1, 2, 4) and hash(trusted) == hash(gs(1, 2, 4))
+        assert trusted.minimal_generators == gs(1, 2, 4).minimal_generators
+        assert NumericalSemigroup._unchecked(()) == gs()

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import functools
+import sys
+from collections import Counter
+
 import pytest
 
 from sparsegroup import (
@@ -16,11 +20,13 @@ from sparsegroup import (
     is_kappa_sparse,
     is_pure_kappa_sparse,
     is_sparse,
+    leap_profile,
+    max_leap_jump,
     ordinary,
     sparseness_index,
 )
 from sparsegroup import enumeration
-from sparsegroup.enumeration import GENUS_CAP_ENV, _walk
+from sparsegroup.enumeration import EMITS, GENUS_CAP_ENV, MODES, _walk
 
 from oracle import KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
 
@@ -65,15 +71,80 @@ def reference_walk(max_genus, keep=None):
 class TestWalk:
     @pytest.mark.parametrize("kappa", [None, 1, 2, 3, 4])
     def test_matches_the_reference_walk_in_order(self, kappa):
-        keep = None if kappa is None else (lambda s: is_kappa_sparse(s, kappa))
+        """Node for node, with each carried index equal to the one recomputed from the gaps."""
+        keep_index = None if kappa is None else (lambda index: index <= kappa)
+        keep_node = None if kappa is None else (lambda s: is_kappa_sparse(s, kappa))
         for max_genus in range(13):
-            assert list(_walk(max_genus, keep)) == list(reference_walk(max_genus, keep))
+            walked = list(_walk(max_genus, keep_index))
+            expected = [
+                (depth, node.gaps, sparseness_index(node))
+                for depth, node in reference_walk(max_genus, keep_node)
+            ]
+            assert walked == expected
+
+    def test_keep_sees_the_root_and_every_candidate_child(self):
+        seen = []
+        nodes = list(_walk(6, lambda index: seen.append(index) or index <= 3))
+        # the root, then each child of a kept node, whether kept or not
+        candidates = sum(len(children(gs(*gaps))) for depth, gaps, _ in nodes if depth < 6)
+        assert len(seen) == 1 + candidates
+        assert seen[0] == 1
 
     def test_published_level_sizes(self):
         sizes = [0] * len(PUBLISHED_LEVEL_SIZES)
-        for depth, _ in _walk(len(PUBLISHED_LEVEL_SIZES) - 1):
+        for depth, _, _ in _walk(len(PUBLISHED_LEVEL_SIZES) - 1):
             sizes[depth] += 1
         assert tuple(sizes) == PUBLISHED_LEVEL_SIZES
+
+
+@functools.cache
+def reference_nodes(max_genus):
+    """Every node to ``max_genus`` by the reference walk, with its index, Arf verdict and profile."""
+    return [
+        (depth, sparseness_index(node), is_arf_double(node), leap_profile(node))
+        for depth, node in reference_walk(max_genus)
+    ]
+
+
+def reference_census(request):
+    """The census recomputed node by node from the unpruned reference walk."""
+    kappa = request.kappa
+    rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
+    for depth, index, arf, profile in reference_nodes(request.max_genus):
+        member = {
+            "all": True,
+            "kappa_sparse": index <= kappa,
+            "pure_kappa_sparse": index == kappa,
+            "arf": arf,
+        }[request.mode]
+        if not member:
+            continue
+        row = rows[depth]
+        row.total += 1
+        row.per_class["arf"] += arf
+        row.per_class["sparse"] += index <= 2
+        row.per_class["kappa_sparse"] += index <= kappa
+        row.per_class["pure_kappa_sparse"] += index == kappa
+        if request.emit == "full":
+            row.profile_histogram[profile] = row.profile_histogram.get(profile, 0) + 1
+    return rows
+
+
+def _count_calls(monkeypatch, *functions):
+    """Count calls to ``functions`` through every name any sparsegroup module binds them to."""
+    calls = Counter()
+    for function in functions:
+
+        def counted(*args, _function=function, **kwargs):
+            calls[_function.__name__] += 1
+            return _function(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sparsegroup":
+                for name, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestEnumerateGenus:
@@ -210,7 +281,7 @@ class TestCensus:
         assert [row.total for row in rows] == [1, 1, 2]
         assert all(row.per_class["sparse"] == row.total for row in rows)
 
-    def test_arf_mode_decides_arf_once_per_node(self, monkeypatch):
+    def test_arf_mode_tests_arf_only_below_arf_parents(self, monkeypatch):
         calls = []
 
         def counted(semigroup):
@@ -220,23 +291,19 @@ class TestCensus:
         monkeypatch.setattr(enumeration, "is_arf_double", counted)
         request = EnumerationRequest(max_genus=10, mode="arf", emit="count_only")
         rows = census(request)
-        assert len(calls) == len(set(calls)) == 478  # every node to genus 10, once
+        # the root and every child of an Arf node to genus 10, each once; not all 478 nodes
+        assert len(calls) == len(set(calls)) == 238
+        assert all(node.genus == 0 or is_arf_double(node.adjoin_frobenius()) for node in calls)
         assert sum(row.per_class["arf"] for row in rows) == sum(row.total for row in rows)
 
-    def test_pure_mode_computes_the_index_once_per_node(self, monkeypatch):
-        # the kappa-sparse census walks the same pruned tree and counts every node
-        walked = census(EnumerationRequest(max_genus=10, kappa_filter=3, mode="kappa_sparse"))
-        nodes = sum(row.total for row in walked)
-        calls = []
-
-        def counted(semigroup):
-            calls.append(semigroup)
-            return sparseness_index(semigroup)
-
-        monkeypatch.setattr(enumeration, "sparseness_index", counted)
-        rows = census(EnumerationRequest(max_genus=10, kappa_filter=3, mode="pure_kappa_sparse"))
-        assert len(calls) == len(set(calls)) == nodes == 226
-        assert all(row.per_class["pure_kappa_sparse"] == row.total for row in rows)
+    @pytest.mark.parametrize("mode", ["kappa_sparse", "pure_kappa_sparse"])
+    def test_kappa_modes_compute_no_leap_statistics_per_node(self, monkeypatch, mode):
+        calls = _count_calls(
+            monkeypatch, sparseness_index, max_leap_jump, leap_profile, is_kappa_sparse
+        )
+        rows = census(EnumerationRequest(max_genus=10, kappa_filter=3, mode=mode))
+        assert sum(row.total for row in rows) == (226 if mode == "kappa_sparse" else 125)
+        assert calls == {}
 
     def test_arf_mode_filters_the_universe(self, level):
         rows = census(EnumerationRequest(max_genus=7, mode="arf"))
@@ -279,6 +346,13 @@ class TestCensus:
             for row in rows:
                 assert sum(row.profile_histogram.values()) == row.total
                 assert all(count <= row.total for count in row.per_class.values())
+
+    @pytest.mark.parametrize("emit", EMITS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+    def test_matches_the_reference_census(self, mode, emit, kappa):
+        request = EnumerationRequest(max_genus=12, kappa_filter=kappa, mode=mode, emit=emit)
+        assert census(request) == reference_census(request)
 
     def test_deterministic(self):
         first = census(EnumerationRequest(max_genus=5, kappa_filter=3))

@@ -22,6 +22,9 @@ from sparsegroup import (
 )
 
 
+from oracle import first_member_run
+
+
 def gs(*gaps: int) -> NumericalSemigroup:
     return NumericalSemigroup.from_gaps(gaps)
 
@@ -59,6 +62,24 @@ class TestDecisionProcedures:
     def test_spacing_forms_need_kappa_two(self, procedure):
         with pytest.raises(ValueError):
             procedure(gs(1), 1)
+
+    @pytest.mark.parametrize(
+        "semigroup, kappa",
+        [
+            # members 10^4 .. 19998: one run of 9999 ending just below c = 2 * 10^4
+            (example_family(10**4, 10**4), 10**4 - 1),
+            (example_family(10**4, 10**4), 10**4),
+            (example_family(10**4, 10**4), 10**4 + 1),
+            # runs of one member only: <2, 20001>
+            (NumericalSemigroup(tuple(range(1, 2 * 10**4, 2))), 10**4),
+            # a run of 2^13 - 1 members: kappa all ones in binary, then a power of two
+            (example_family(10**4, 2**13), 2**13 - 1),
+            (example_family(10**4, 2**13), 2**13),
+        ],
+    )
+    def test_member_run_at_half_the_conductor(self, semigroup, kappa):
+        expected = first_member_run(semigroup.gaps, kappa) is None
+        assert is_kappa_sparse_run(semigroup, kappa) == expected
 
     def test_four_way_agreement_exhaustive(self, level):
         for g in range(9):
@@ -233,6 +254,7 @@ class TestClassification:
         for g in range(7):
             for node in level(g):
                 result = classify(node)
+                assert result.sparseness_index == sparseness_index(node)
                 assert result.sparse == (result.sparseness_index <= 2)
                 if result.hyperelliptic:
                     assert result.sparse

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +25,16 @@ def test_benchmark_smoke_passes():
     result = run_python("perfbench/run.py", "--smoke")
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1] == "smoke ok"
+
+
+def test_pruned_census_matches_the_recorded_digest():
+    """The benchmark's census_pruned command, byte for byte against its recorded SHA-256."""
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    argv = ("enumerate", "--census", "--kappa", "3", "--genus", "20", "--cap", "20")
+    result = run_python("-m", "sparsegroup", *argv)
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == expected["full"]["census_pruned"]["sha256"]
 
 
 def test_verify_passes_with_asserts_stripped():

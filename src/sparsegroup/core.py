@@ -130,9 +130,11 @@ class NumericalSemigroup:
     def _unchecked(cls, gaps: tuple[int, ...]) -> NumericalSemigroup:
         """Construction without the ``__post_init__`` scan, for gaps valid by construction.
 
-        For the gap tuples of the tree walk.  The tests check the walk against
-        ``children()``, and ``verify`` revalidates every node it builds this
-        way with ``from_gaps``.
+        For gap tuples already known to be strictly increasing positive
+        integers: the tree walk's, and ``from_gaps``'s own after it has
+        validated, sorted and deduplicated them.  The tests check the walk
+        against ``children()``, and ``verify`` revalidates every node it builds
+        this way with ``from_gaps``.
         """
         semigroup = object.__new__(cls)
         object.__setattr__(semigroup, "gaps", gaps)
@@ -167,7 +169,7 @@ class NumericalSemigroup:
                 raise NotASemigroup(
                     f"{x} and {y} are non-gaps but their sum {x + y} is a gap"
                 )
-        return cls(tuple(values))
+        return cls._unchecked(tuple(values))
 
     @classmethod
     def from_generators(

@@ -84,21 +84,53 @@ def leap_set(semigroup: NumericalSemigroup) -> tuple[Leap, ...]:
     return tuple(Leap(lo, hi) for lo, hi in zip((-1,) + gaps[:-1], gaps))
 
 
-def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:
-    """Histogram of leap jumps, counted in one pass over the gaps."""
+def _count_jumps(semigroup: NumericalSemigroup) -> LeapProfile:
+    """The counting pass behind :func:`leap_profile`: one pass over the gaps."""
     gaps = semigroup.gaps
     counts = Counter(hi - lo for lo, hi in zip((-1,) + gaps, gaps))
     return LeapProfile(tuple(sorted(counts.items())))
 
 
-def max_leap_jump(semigroup: NumericalSemigroup) -> int:
-    """Largest difference between consecutive gaps (0 when there are no gaps)."""
+def _scan_largest_jump(semigroup: NumericalSemigroup) -> int:
+    """The scan behind :func:`max_leap_jump`: one pass over the gaps."""
     best = 0
     previous = -1
     for gap in semigroup.gaps:
         if gap - previous > best:
             best = gap - previous
         previous = gap
+    return best
+
+
+# Each statistic is memoized in the instance ``__dict__``, as ``cached_property``
+# does for ``small_elements``.  Each key is filled only by its own pass, so the
+# gap-spacing decider never reads the profile and the profile-sum decider never
+# reads the jump.
+
+
+def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:
+    """Histogram of leap jumps, counted in one pass over the gaps once per object.
+
+    The profile is kept on the instance; later calls on the same object
+    return it without rescanning.
+    """
+    memo = semigroup.__dict__
+    profile = memo.get("_leap_profile")
+    if profile is None:
+        profile = memo["_leap_profile"] = _count_jumps(semigroup)
+    return profile
+
+
+def max_leap_jump(semigroup: NumericalSemigroup) -> int:
+    """Largest difference between consecutive gaps (0 when there are no gaps).
+
+    Scanned once per object and kept on the instance, apart from the leap
+    profile's memo: it is never read off the profile.
+    """
+    memo = semigroup.__dict__
+    best = memo.get("_max_leap_jump")
+    if best is None:
+        best = memo["_max_leap_jump"] = _scan_largest_jump(semigroup)
     return best
 
 

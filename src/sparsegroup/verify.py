@@ -229,15 +229,14 @@ def _pure_run_agrees(levels: Levels) -> Instances:
 def _pure_classes_partition(levels: Levels) -> Instances:
     """Each semigroup is pure for exactly one kappa, so pure counts sum to the total."""
     for genus, level in enumerate(levels):
+        kappas = range(1, genus + 3)  # jumps never exceed genus + 2, so this is exhaustive
+        pure_sum = 0
         for node in level:
             index = sparseness_index(node)
-            bad = [k for k in range(1, genus + 3) if is_pure_kappa_sparse(node, k) != (k == index)]
+            verdicts = [is_pure_kappa_sparse(node, k) for k in kappas]
+            pure_sum += sum(verdicts)
+            bad = [k for k, pure in zip(kappas, verdicts) if pure != (k == index)]
             yield f"{_gapstr(node)} kappa={bad[0]} index={index}" if bad else None
-        # jumps never exceed genus + 2, so the kappa sweep below is exhaustive
-        pure_sum = sum(
-            sum(1 for node in level if is_pure_kappa_sparse(node, kappa))
-            for kappa in range(1, genus + 3)
-        )
         if pure_sum != len(level):
             yield f"genus {genus}: pure classes sum to {pure_sum}, total {len(level)}"
 

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import sparsegroup.leaps
 from sparsegroup import (
     Leap,
     LeapProfile,
     NumericalSemigroup,
     frobenius_from_profile,
     is_hyperelliptic,
+    is_kappa_sparse_gapdiff,
+    is_kappa_sparse_profile,
     is_sparse,
     leap_profile,
     leap_set,
@@ -163,3 +168,67 @@ class TestCensusInvariants:
                 if g > 0:
                     K = 2 * g - node.frobenius
                     assert sparse == (p.v(1) == K - 1 and p.v(2) == g - K + 1)
+
+
+def _memo_sources(level) -> list[tuple[str, NumericalSemigroup]]:
+    """Semigroups of genus <= 10 from every constructor and closure operation."""
+    nodes = [node for g in range(11) for node in level(g)]
+    made = []
+    for i, node in enumerate(nodes):
+        neighbour = nodes[(i + 1) % len(nodes)]
+        made.append(("from_gaps", NumericalSemigroup.from_gaps(node.gaps)))
+        made.append(("from_generators", NumericalSemigroup.from_generators(node.minimal_generators)))
+        made.append(("_unchecked", NumericalSemigroup._unchecked(node.gaps)))
+        made.append(("intersect", node.intersect(neighbour)))
+        if node.genus:
+            made.append(("adjoin_frobenius", node.adjoin_frobenius()))
+    return made
+
+
+class TestPerObjectMemo:
+    """``leap_profile`` and ``max_leap_jump`` scan each object once and keep the result."""
+
+    def test_cached_values_match_a_fresh_recomputation(self, level):
+        for how, semigroup in _memo_sources(level):
+            warm_profile, warm_jump = leap_profile(semigroup), max_leap_jump(semigroup)
+            assert leap_profile(semigroup) is warm_profile, how
+            fresh = NumericalSemigroup(semigroup.gaps)
+            assert leap_profile(semigroup) == leap_profile(fresh), how
+            assert max_leap_jump(semigroup) == max_leap_jump(fresh) == warm_jump, how
+            jumps = [leap.jump for leap in leap_set(semigroup)]
+            assert leap_profile(semigroup).as_dict() == dict(Counter(jumps)), how
+            assert max_leap_jump(semigroup) == max(jumps, default=0), how
+
+    def test_a_warm_memo_changes_no_value_semantics(self, level):
+        for _, semigroup in _memo_sources(level)[::7]:
+            cold = NumericalSemigroup(semigroup.gaps)
+            leap_profile(semigroup), max_leap_jump(semigroup)
+            assert semigroup == cold and hash(semigroup) == hash(cold)
+            assert repr(semigroup) == repr(cold)
+            assert semigroup.describe() == cold.describe()
+            assert len({semigroup, cold}) == 1
+
+    def test_gap_spacing_never_reads_the_profile(self, monkeypatch):
+        def refuse(semigroup):
+            raise RuntimeError("the profile was counted")
+
+        monkeypatch.setattr(sparsegroup.leaps, "_count_jumps", refuse)
+        with pytest.raises(RuntimeError):
+            leap_profile(gs(1, 2, 3, 7))
+        semigroup = gs(1, 2, 3, 7)
+        assert max_leap_jump(semigroup) == 4
+        assert is_kappa_sparse_gapdiff(semigroup, 4)
+        assert not is_kappa_sparse_gapdiff(semigroup, 3)
+        assert is_sparse(gs(1, 3)) and not is_sparse(semigroup)
+
+    def test_profile_sum_never_reads_the_largest_jump(self, monkeypatch):
+        def refuse(semigroup):
+            raise RuntimeError("the largest jump was scanned")
+
+        monkeypatch.setattr(sparsegroup.leaps, "_scan_largest_jump", refuse)
+        semigroup = gs(1, 2, 3, 7)
+        assert leap_profile(semigroup).max_jump == 4
+        assert is_kappa_sparse_profile(semigroup, 4)
+        assert not is_kappa_sparse_profile(semigroup, 3)
+        with pytest.raises(RuntimeError):
+            max_leap_jump(semigroup)

@@ -37,6 +37,14 @@ def test_pruned_census_matches_the_recorded_digest():
     assert digest == expected["full"]["census_pruned"]["sha256"]
 
 
+def test_verify_sweep_matches_the_recorded_output():
+    """The benchmark's verify_sweep command, byte for byte against its recorded stdout."""
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    result = run_python("-m", "sparsegroup", "verify", "--max-genus", "11")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected["full"]["verify_sweep"]
+
+
 def test_verify_passes_with_asserts_stripped():
     result = run_python("-O", "-m", "sparsegroup", "verify", "--max-genus", "5")
     assert result.returncode == 0, result.stdout + result.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import sparsegroup.leaps
 import sparsegroup.verify
 from sparsegroup import CheckResult, LimitExceeded, enumerate_genus, run_checks
 from sparsegroup.cli import main
@@ -71,3 +72,34 @@ def test_run_checks_respects_the_genus_cap(monkeypatch):
         run_checks(4)
     with pytest.raises(ValueError, match="non-negative"):
         run_checks(-1)
+
+
+@pytest.mark.parametrize("scan", ["_count_jumps", "_scan_largest_jump"])
+def test_each_leap_statistic_is_scanned_once_per_object(monkeypatch, scan):
+    """The deciders run per (node, kappa), but each object's gaps are scanned once."""
+    original = getattr(sparsegroup.leaps, scan)
+    scanned = []  # kept alive, so no two entries share an id
+
+    def counted(semigroup):
+        scanned.append(semigroup)
+        return original(semigroup)
+
+    monkeypatch.setattr(sparsegroup.leaps, scan, counted)
+    assert all(result.passed for result in run_checks(8))
+    assert scanned
+    assert len({id(semigroup) for semigroup in scanned}) == len(scanned)
+
+
+def test_pure_classes_partition_decides_purity_once_per_node_and_kappa(monkeypatch):
+    original = sparsegroup.verify.is_pure_kappa_sparse
+    calls = []
+
+    def counted(semigroup, kappa):
+        calls.append((id(semigroup), kappa))
+        return original(semigroup, kappa)
+
+    monkeypatch.setattr(sparsegroup.verify, "is_pure_kappa_sparse", counted)
+    levels = [list(enumerate_genus(g)) for g in range(7)]
+    result = sparsegroup.verify._pure_classes_partition(levels)
+    assert result.passed and result.instances == 50
+    assert len(calls) == len(set(calls)) == sum((g + 2) * len(level) for g, level in enumerate(levels))

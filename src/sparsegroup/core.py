@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 # Constructors refuse semigroups whose conductor exceeds this.  The cap bounds
-# size, not time.  ``from_gaps`` is linear in c apart from its closure check,
-# which costs a few operations on c-bit integers per minimal generator below
-# c / 2 (see ``_closure_violation``).  On <2, c + 1> it took 1 ms at c = 8000, 2 ms at
-# c = 16000, 26 ms at c = 2 * 10^5 and 0.14 s at c = 10^6 (Python 3.11,
-# 2 cores), where the old pair scan took 0.31 s and 1.1 s at the first two.
-# Many small generators keep it quadratic: with the odd numbers in [m, 2m) as
-# generators it took 0.84 s at c = 2 * 10^5 and 23 s at c = 10^6.  ROADMAP
-# direction 2 tracks a bound.
+# size, not time.  ``from_gaps``, ``from_generators`` and ``minimal_generators``
+# each spend a few shift-ors on c-bit integers per minimal generator they span
+# (see ``_spanning``).  At c = 10^6 they took 0.13-0.31 s each on <2, c + 1>,
+# <1000, c + 1, ..., c + 999> and <9889, ..., 9988> (Python 3.11, 2 cores).
+# Many small generators keep them quadratic: with the odd numbers in [m, 2m)
+# as generators and c = 3m, they took 1.7, 0.11 and 0.38 s at c = 10^5 and
+# 111, 12 and 34 s at c = 10^6.  ROADMAP direction 2 tracks a bound.
 DEFAULT_MAX_CONDUCTOR = 1_000_000
 
 
@@ -57,6 +56,36 @@ def _bitmask(values: Iterable[int], width: int) -> int:
     return int(digits, 2)
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Inverse of ``_bitmask``: the set bits of ``mask`` in ascending order."""
+    digits = bin(mask)[:1:-1]  # the least significant digit first, without "0b"
+    return tuple(n for n, digit in enumerate(digits) if digit == "1")
+
+
+def _spanning(members: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Walk the set bits x <= stop of ``members`` upward, yielding each one not yet spanned.
+
+    Yields ``(x, spanned)`` for each x that is not a sum of the x yielded
+    before it, where ``spanned`` is the semigroup the yielded x generate, as a
+    mask cut to [0, stop].  Adding x costs O(log(stop / x)) shift-ors on
+    stop-bit integers: after k passes, up to 2^k - 1 copies of x are added.
+    """
+    window = (1 << (stop + 1)) - 1
+    members &= window
+    spanned = 1
+    x = 0
+    while True:
+        untested = (members & ~spanned) >> (x + 1)
+        if not untested:
+            return
+        x += (untested & -untested).bit_length()
+        step = x
+        while step <= stop:
+            spanned |= (spanned << step) & window
+            step *= 2
+        yield x, spanned
+
+
 def _closure_violation(gaps: Sequence[int]) -> tuple[int, int] | None:
     """Return the lexicographically first non-gaps x <= y with x + y a gap, or None.
 
@@ -65,39 +94,19 @@ def _closure_violation(gaps: Sequence[int]) -> tuple[int, int] | None:
     below ``top`` as bit masks, one shift-and per x yields every y >= x whose
     sum with x is a gap, and the lowest set bit is the least such y.
 
-    Only the x that are not sums of two smaller members need that test: when
-    every smaller member x' satisfies x' + S in S, a sum x = a + b of two of
-    them satisfies x + S = a + (b + S) in a + S in S.  ``spanned`` holds the
-    semigroup generated by the members tested so far, so the first x that
-    fails is still found, with the same least y.
-
-    Each tested x costs O(log top) big-int operations on top-bit numbers, and
-    only the minimal generators below top / 2 are tested, at most the
-    multiplicity many, so the check is not linear in the worst case.  On
-    <2, c + 1> it took 0.4 ms at c = 8000, 0.7 ms at c = 16000 and 10 ms at
-    c = 2 * 10^5.  With the odd numbers in [m, 2m) as generators, about
-    top / 12 of them are tested: 1.3 s at c = 2 * 10^5 (Python 3.11, 2 cores).
+    Only the x <= top / 2 that ``_spanning`` yields need that test: when every
+    smaller member x' satisfies x' + S in S, a sum x = a + b of two of them
+    satisfies x + S = a + (b + S) in a + S in S.  So the first x that fails is
+    still found, with the same least y.
     """
     top = gaps[-1]
     gapmask = _bitmask(gaps, top + 1)
     members = ((1 << top) - 2) & ~gapmask  # the members in [1, top)
-    below_top = (1 << (top + 1)) - 1
-    spanned = 1
-    x = 0
-    while True:
-        untested = (members & ~spanned) >> (x + 1)
-        if not untested:
-            return None
-        x += (untested & -untested).bit_length()
-        if 2 * x > top:
-            return None
+    for x, _ in _spanning(members, top // 2):
         hits = (members >> x) & (gapmask >> 2 * x)
         if hits:
             return x, x + (hits & -hits).bit_length() - 1
-        step = x  # add the multiples of x: after k passes, up to 2^k - 1 copies
-        while step <= top:
-            spanned |= (spanned << step) & below_top
-            step *= 2
+    return None
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,12 @@ class NumericalSemigroup:
         """Construction without the ``__post_init__`` scan, for gaps valid by construction.
 
         For gap tuples already known to be strictly increasing positive
-        integers: the tree walk's, and ``from_gaps``'s own after it has
-        validated, sorted and deduplicated them.  The tests check the walk
-        against ``children()``, and ``verify`` revalidates every node it builds
-        this way with ``from_gaps``.
+        integers: the tree walk's; ``from_gaps``'s own after it has validated,
+        sorted and deduplicated them; ``from_generators``', read off its span;
+        ``intersect``'s sorted union of two gap sets; and ``adjoin_frobenius``'s
+        prefix of the gaps.  The tests check the walk against ``children()``,
+        and ``verify`` revalidates every node it builds this way with
+        ``from_gaps``.
         """
         semigroup = object.__new__(cls)
         object.__setattr__(semigroup, "gaps", gaps)
@@ -181,7 +192,10 @@ class NumericalSemigroup:
         """Smallest numerical semigroup containing ``generators``.
 
         Defined exactly when the generators are coprime as a set; otherwise the
-        complement is infinite and :class:`NotCofinite` is raised.
+        complement is infinite and :class:`NotCofinite` is raised.  The span is
+        built in a window that starts at twice the largest generator and
+        doubles, up to min * max or the cap plus min, until its top min
+        numbers, and so all above, are members.  The gaps are its zero bits.
         """
         collected = set(generators)
         if not collected:
@@ -196,39 +210,24 @@ class NumericalSemigroup:
             raise NotCofinite(
                 f"generators {values} have gcd {math.gcd(*values)}; complement is infinite"
             )
-        if values[0] == 1:
-            return cls(())
-
-        # Reachability sweep.  The conductor provably sits below
-        # min * max, and the first run of `min` consecutive reachable
-        # numbers marks the point past which everything is reachable.
         lowest = values[0]
         limit = min(lowest * values[-1], max_conductor + lowest) + 1
-        reachable = bytearray(limit)
-        reachable[0] = 1
-        run = 0
-        conductor = -1
-        for n in range(1, limit):
-            hit = 0
-            for a in values:
-                if a > n:
-                    break
-                if reachable[n - a]:
-                    hit = 1
-                    break
-            reachable[n] = hit
-            if hit:
-                run += 1
-                if run == lowest:
-                    conductor = n - lowest + 1
-                    break
-            else:
-                run = 0
-        if conductor < 0 or conductor > max_conductor:
+        width = min(2 * values[-1], limit)
+        while True:
+            members = _bitmask((g for g in values if g < width), width)
+            spanned = 1  # {0} if no generator fits the window, as for a negative cap
+            for _, spanned in _spanning(members, width - 1):
+                pass  # keep the last, full span
+            gapmask = ((1 << width) - 1) & ~spanned
+            if gapmask.bit_length() <= width - lowest or width == limit:
+                break
+            width = min(2 * width, limit)
+        conductor = gapmask.bit_length()
+        if conductor > width - lowest or conductor > max_conductor:
             raise LimitExceeded(
                 f"semigroup generated by {values} has conductor above the cap {max_conductor}"
             )
-        return cls(tuple(n for n in range(1, conductor) if not reachable[n]))
+        return cls._unchecked(_bits(gapmask))
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -288,28 +287,29 @@ class NumericalSemigroup:
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set.
+        """The unique minimal generating set, in increasing order.
 
-        A nonzero member is a minimal generator exactly when it is not a sum
-        of two nonzero members; candidates live in [multiplicity,
-        conductor + multiplicity - 1].
+        A member is a minimal generator exactly when it is not in the span of
+        the smaller members, and every one lies in [multiplicity, top] with
+        top = conductor + multiplicity - 1.  ``_spanning`` walks those up to
+        top / 2.  A member h above that is a sum exactly when h = g + s for a
+        generator g <= h / 2 and a member s > 0, so one shift-or per low
+        generator marks every sum up to top (s = 0 gives h = g <= top / 2).
         """
-        lowest = self.multiplicity
-        out = []
-        for h in range(lowest, max(self.conductor + lowest, lowest + 1)):
-            if h not in self:
-                continue
-            if any(x in self and (h - x) in self for x in range(lowest, h - lowest + 1)):
-                continue
-            out.append(h)
-        return tuple(out)
+        top = max(self.conductor, 1) + self.multiplicity - 1
+        members = ((1 << (top + 1)) - 1) & ~self.gap_mask
+        low = tuple(x for x, _ in _spanning(members, top // 2))
+        sums = (1 << (top // 2 + 1)) - 1  # [0, top / 2] is done
+        for g in low:
+            sums |= members << g
+        return low + _bits(members & ~sums)
 
     # ------------------------------------------------------------------
     # closure operations
 
     def intersect(self, other: NumericalSemigroup) -> NumericalSemigroup:
         """Intersection of two semigroups; the gap sets simply union."""
-        return NumericalSemigroup(tuple(sorted(self._gap_set | other._gap_set)))
+        return NumericalSemigroup._unchecked(tuple(sorted(self._gap_set | other._gap_set)))
 
     __and__ = intersect
 
@@ -317,7 +317,7 @@ class NumericalSemigroup:
         """Fill the largest gap, dropping the genus by exactly one."""
         if not self.gaps:
             raise TrivialSemigroup("the full set of naturals has no gap to fill")
-        return NumericalSemigroup(self.gaps[:-1])
+        return NumericalSemigroup._unchecked(self.gaps[:-1])
 
     # ------------------------------------------------------------------
     # interchange formats

@@ -42,6 +42,25 @@ def complement_is_closed(gaps: tuple[int, ...]) -> bool:
     return closure_violation(gaps) is None
 
 
+def minimal_generators(gaps: tuple[int, ...]) -> tuple[int, ...]:
+    """The nonzero members that are not sums of two nonzero members, by scanning pairs.
+
+    Every minimal generator lies in [m, c + m - 1] for the multiplicity m and
+    the conductor c, and in [1, 1] for the full naturals.
+    """
+    gapset = set(gaps)
+    conductor = max(gaps) + 1 if gaps else 0
+    lowest = next(n for n in range(1, conductor + 2) if n not in gapset)
+    out = []
+    for h in range(lowest, max(conductor, 1) + lowest):
+        if h in gapset:
+            continue
+        if any(x not in gapset and h - x not in gapset for x in range(lowest, h - lowest + 1)):
+            continue
+        out.append(h)
+    return tuple(out)
+
+
 def first_member_run(gaps: tuple[int, ...], kappa: int) -> int | None:
     """The least positive member below the conductor that starts kappa consecutive members.
 

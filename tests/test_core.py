@@ -14,8 +14,14 @@ from sparsegroup import (
     ordinary,
     parse_gap_line,
 )
+from sparsegroup.enumeration import _walk
 
-from oracle import brute_force_from_generators, closure_violation
+from oracle import (
+    PUBLISHED_LEVEL_SIZES,
+    brute_force_from_generators,
+    closure_violation,
+    minimal_generators,
+)
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -107,6 +113,10 @@ class TestFromGenerators:
         with pytest.raises(LimitExceeded):
             NumericalSemigroup.from_generators([101, 103], max_conductor=1000)
 
+    def test_generators_far_above_the_conductor_are_redundant(self):
+        assert NumericalSemigroup.from_generators([2, 3, 10**9]) == gs(1)
+        assert NumericalSemigroup.from_generators([3, 5, 7, 2001], max_conductor=1000) == gs(1, 2, 4)
+
 
 class TestOrdinary:
     def test_genus_zero(self):
@@ -164,6 +174,13 @@ class TestDerivedData:
     @pytest.mark.parametrize("g", [1, 2, 4, 6])
     def test_minimal_generators_ordinary(self, g):
         assert ordinary(g).minimal_generators == tuple(range(g + 1, 2 * g + 2))
+
+    def test_minimal_generators_match_the_pair_scan_to_genus_14(self):
+        walked = 0
+        for _, gaps, _ in _walk(14):
+            assert NumericalSemigroup._unchecked(gaps).minimal_generators == minimal_generators(gaps)
+            walked += 1
+        assert walked == sum(PUBLISHED_LEVEL_SIZES[:15])
 
     def test_describe_key_order(self):
         record = gs(1, 2, 4).describe()
@@ -226,6 +243,9 @@ class TestCensusInvariants:
         for g in range(7):
             for node in level(g):
                 assert NumericalSemigroup.from_gaps(node.gaps) == node
+                if node.gaps:
+                    filled = node.adjoin_frobenius()
+                    assert NumericalSemigroup.from_gaps(filled.gaps) == filled
                 assert NumericalSemigroup.from_generators(node.minimal_generators) == node
                 assert len(node.gaps) == node.genus
                 assert node.frobenius <= 2 * node.genus - 1

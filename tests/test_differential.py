@@ -1,8 +1,8 @@
 """Differential tests at classify-sized conductors, far beyond the exhaustive levels.
 
 Semigroups come from random coprime generators with conductors up to a few
-thousand.  The validated constructor and the member-run decider are checked
-against the brute-force referees in ``oracle``.  The examples are derandomized,
+thousand.  The validated constructors, the minimal generators and the
+member-run decider are checked against the brute-force referees in ``oracle``.  The examples are derandomized,
 so every run sees the same ones.
 """
 
@@ -14,9 +14,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsegroup import NotASemigroup, NumericalSemigroup, is_kappa_sparse_run, sparseness_index
+from sparsegroup import (
+    LimitExceeded,
+    NotASemigroup,
+    NumericalSemigroup,
+    is_kappa_sparse_run,
+    sparseness_index,
+)
 
-from oracle import closure_violation, first_member_run
+from oracle import (
+    brute_force_from_generators,
+    closure_violation,
+    first_member_run,
+    minimal_generators,
+)
 
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -28,6 +39,14 @@ def semigroups(draw) -> NumericalSemigroup:
     others = draw(st.lists(st.integers(m + 1, 3 * m - 1), min_size=1, max_size=3, unique=True))
     assume(math.gcd(m, *others) == 1)
     return NumericalSemigroup.from_generators([m, *others])
+
+
+@st.composite
+def generator_sets(draw) -> list[int]:
+    """Two to six numbers in [2, 80] with gcd 1, in any order, redundant ones allowed."""
+    values = draw(st.lists(st.integers(2, 80), min_size=2, max_size=6))
+    assume(math.gcd(*values) == 1)
+    return values
 
 
 @EXAMPLES
@@ -55,3 +74,36 @@ def test_member_run_matches_the_run_scan(semigroup):
     for kappa in range(2, index + 2):
         expected = first_member_run(semigroup.gaps, kappa) is None
         assert is_kappa_sparse_run(semigroup, kappa) == expected
+
+
+@EXAMPLES
+@given(semigroups())
+def test_minimal_generators_match_the_pair_scan(semigroup):
+    assert semigroup.minimal_generators == minimal_generators(semigroup.gaps)
+
+
+@EXAMPLES
+@given(generator_sets())
+def test_from_generators_matches_the_saturated_sums(generators):
+    semigroup = NumericalSemigroup.from_generators(generators)
+    bound = semigroup.conductor + max(generators)
+    reachable = brute_force_from_generators(generators, bound)
+    assert semigroup.gaps == tuple(n for n in range(bound) if n not in reachable)
+    assert all(g in semigroup for g in generators)
+    assert set(semigroup.minimal_generators) <= set(generators)
+    assert NumericalSemigroup.from_gaps(semigroup.gaps) == semigroup
+    assert NumericalSemigroup.from_generators(semigroup.minimal_generators) == semigroup
+
+
+@EXAMPLES
+@given(generator_sets())
+def test_from_generators_accepts_the_conductor_as_cap_and_rejects_one_less(generators):
+    semigroup = NumericalSemigroup.from_generators(generators)
+    cap = semigroup.conductor
+    assert NumericalSemigroup.from_generators(generators, max_conductor=cap) == semigroup
+    with pytest.raises(LimitExceeded) as excinfo:
+        NumericalSemigroup.from_generators(generators, max_conductor=cap - 1)
+    values = sorted(set(generators))
+    assert str(excinfo.value) == (
+        f"semigroup generated by {values} has conductor above the cap {cap - 1}"
+    )

@@ -9,12 +9,13 @@ from functools import cached_property
 
 # Constructors refuse semigroups whose conductor exceeds this.  The cap bounds
 # size, not time.  ``from_gaps``, ``from_generators`` and ``minimal_generators``
-# each spend a few shift-ors on c-bit integers per minimal generator they span
-# (see ``_spanning``).  At c = 10^6 they took 0.13-0.31 s each on <2, c + 1>,
-# <1000, c + 1, ..., c + 999> and <9889, ..., 9988> (Python 3.11, 2 cores).
-# Many small generators keep them quadratic: with the odd numbers in [m, 2m)
-# as generators and c = 3m, they took 1.7, 0.11 and 0.38 s at c = 10^5 and
-# 111, 12 and 34 s at c = 10^6.  ROADMAP direction 2 tracks a bound.
+# spend a few shift-ors on c-bit integers per minimal generator they span
+# (``_spanning``): 0.13-0.31 s each at c = 10^6 on <2, c + 1>, <1000, c + 1, ...,
+# c + 999> and <9889, ..., 9988>.  Many small generators, the odd numbers in
+# [m, 2m) with c = 3m, took 1.7, 0.11 and 0.38 s at c = 10^5 and 111, 12 and 34 s
+# at 10^6 (ROADMAP direction 2).  A whole ``classify --file`` run took about
+# 0.24 s at c = 10^5 and 1.2-1.4 s at 10^6 on <2, c + 1> and example_family(c/2, c/2)
+# (Python 3.11, shared 2-core host).
 DEFAULT_MAX_CONDUCTOR = 1_000_000
 
 
@@ -264,8 +265,9 @@ class NumericalSemigroup:
 
     @cached_property
     def multiplicity(self) -> int:
-        """Smallest positive member."""
-        return self.element(1)
+        """Smallest positive member: the lowest clear bit of ``gap_mask`` above bit 0."""
+        members = ~self.gap_mask & -2
+        return (members & -members).bit_length() - 1
 
     def element(self, k: int) -> int:
         """The k-th member in increasing order, 0-indexed from the member 0."""

@@ -146,13 +146,13 @@ def _universe(request: EnumerationRequest) -> Iterator[tuple[int, tuple[int, ...
 
     Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
     of a member is a member and the kappa modes prune at the first non-member.
-    At kappa = 1 that leaves only the full naturals.  The pure and Arf modes
-    pick their members out of what the walk yields.
+    Arf semigroups are sparse (Munuera, Torres and Villanueva, 2009), so Arf
+    mode prunes at index > 2.  Pure and Arf members are picked from the walk.
     """
-    kappa = request.kappa
-    if request.mode in ("kappa_sparse", "pure_kappa_sparse"):
-        return _walk(request.max_genus, keep=lambda index: index <= kappa)
-    return _walk(request.max_genus)
+    if request.mode == "all":
+        return _walk(request.max_genus)
+    bound = 2 if request.mode == "arf" else request.kappa
+    return _walk(request.max_genus, keep=lambda index: index <= bound)
 
 
 def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
@@ -223,11 +223,9 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
 
     Nothing is recomputed from a node's gaps that its parent already knows.
     The walk carries the index.  A child's leaps are its parent's plus one,
-    so its leap counts are the parent's with one jump added.  Arf semigroups
-    form a Frobenius variety (Rosales and Garcia-Sanchez, "Numerical
-    Semigroups", 2009): filling the largest gap keeps a semigroup Arf, so a
-    child of a non-Arf node is never Arf, and only the root and the children
-    of Arf nodes are tested.
+    so its leap counts are the parent's with one jump added.  Filling the
+    largest gap keeps a semigroup Arf (Rosales and Garcia-Sanchez, "Numerical
+    Semigroups", 2009), so only the root and the children of Arf nodes are tested.
     """
     kappa = request.kappa
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 from .core import NumericalSemigroup
 
@@ -124,14 +125,12 @@ def is_arf_definition(semigroup: NumericalSemigroup) -> bool:
 
 
 def is_arf_double(semigroup: NumericalSemigroup) -> bool:
-    """Arf test by the doubling condition 2 n_i - n_j a member, j <= i."""
-    small = semigroup.small_elements
-    for i in range(len(small)):
-        doubled = 2 * small[i]
-        for j in range(i + 1):
-            if (doubled - small[j]) not in semigroup:
-                return False
-    return True
+    """Arf test: 2 s_(i+1) - s_i in S for consecutive members s_i < s_(i+1) up to the conductor.
+
+    S is Arf iff each T_i = {s - s_i : s in S, s >= s_i} = {0} u (m_i + T_(i+1)) is a semigroup,
+    iff m_i = s_(i+1) - s_i is in T_(i+1) (Garcia-Sanchez, Heredia, Karakas and Rosales, 2017).
+    """
+    return all(2 * b - a in semigroup for a, b in pairwise(semigroup.small_elements))
 
 
 def is_arf_stable(semigroup: NumericalSemigroup) -> bool:

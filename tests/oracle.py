@@ -61,6 +61,22 @@ def minimal_generators(gaps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_arf(gaps: tuple[int, ...]) -> bool:
+    """Whether 2x - y is a member for every pair of members y <= x up to the conductor.
+
+    The all-pairs doubling condition, one of the classical equivalent forms
+    of the Arf property; members above the conductor add nothing.
+    """
+    gapset = set(gaps)
+    conductor = max(gaps) + 1 if gaps else 0
+    small = [n for n in range(conductor + 1) if n not in gapset]
+    for i, x in enumerate(small):
+        for y in small[: i + 1]:
+            if 2 * x - y in gapset:
+                return False
+    return True
+
+
 def first_member_run(gaps: tuple[int, ...], kappa: int) -> int | None:
     """The least positive member below the conductor that starts kappa consecutive members.
 

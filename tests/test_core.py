@@ -182,6 +182,11 @@ class TestDerivedData:
             walked += 1
         assert walked == sum(PUBLISHED_LEVEL_SIZES[:15])
 
+    def test_multiplicity_matches_the_first_positive_element_to_genus_14(self):
+        for _, gaps, _ in _walk(14):
+            semigroup = NumericalSemigroup._unchecked(gaps)
+            assert semigroup.multiplicity == semigroup.element(1)
+
     def test_describe_key_order(self):
         record = gs(1, 2, 4).describe()
         assert list(record) == ["gaps", "generators", "genus", "conductor", "frobenius"]

@@ -1,13 +1,17 @@
 """Differential tests at classify-sized conductors, far beyond the exhaustive levels.
 
 Semigroups come from random coprime generators with conductors up to a few
-thousand.  The validated constructors, the minimal generators and the
-member-run decider are checked against the brute-force referees in ``oracle``.  The examples are derandomized,
-so every run sees the same ones.
+thousand.  The validated constructors, the minimal generators, the
+member-run decider and the Arf test are checked against the brute-force
+referees in ``oracle``.  Random generators almost never span an Arf
+semigroup, so the Arf test also runs on Arf semigroups built backwards from
+the naturals and on their one-number near misses.  The examples are
+derandomized, so every run sees the same ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -18,6 +22,7 @@ from sparsegroup import (
     LimitExceeded,
     NotASemigroup,
     NumericalSemigroup,
+    is_arf_double,
     is_kappa_sparse_run,
     sparseness_index,
 )
@@ -26,6 +31,7 @@ from oracle import (
     brute_force_from_generators,
     closure_violation,
     first_member_run,
+    is_arf,
     minimal_generators,
 )
 
@@ -39,6 +45,23 @@ def semigroups(draw) -> NumericalSemigroup:
     others = draw(st.lists(st.integers(m + 1, 3 * m - 1), min_size=1, max_size=3, unique=True))
     assume(math.gcd(m, *others) == 1)
     return NumericalSemigroup.from_generators([m, *others])
+
+
+@st.composite
+def arf_semigroups(draw) -> NumericalSemigroup:
+    """An Arf semigroup built backwards from the naturals, with conductor up to about 10^4.
+
+    Starting from T = N, each step replaces T with {0} u (m + T) for m the
+    least member of T at or above a drawn n >= 2.  Each step keeps T Arf, and
+    the steps' m are the differences of consecutive members up to the
+    conductor (Garcia-Sanchez, Heredia, Karakas and Rosales, 2017).
+    """
+    gaps: list[int] = []
+    for n in draw(st.lists(st.integers(2, 400), min_size=1, max_size=25)):
+        gapset = set(gaps)
+        m = next(k for k in itertools.count(n) if k not in gapset)
+        gaps = [*range(1, m), *(m + g for g in gaps)]
+    return NumericalSemigroup.from_gaps(gaps)
 
 
 @st.composite
@@ -107,3 +130,37 @@ def test_from_generators_accepts_the_conductor_as_cap_and_rejects_one_less(gener
     assert str(excinfo.value) == (
         f"semigroup generated by {values} has conductor above the cap {cap - 1}"
     )
+
+
+@EXAMPLES
+@given(semigroups())
+def test_arf_double_matches_the_all_pairs_scan(semigroup):
+    assert is_arf_double(semigroup) == is_arf(semigroup.gaps)
+
+
+@EXAMPLES
+@given(arf_semigroups(), st.data())
+def test_arf_double_matches_the_all_pairs_scan_near_arf_semigroups(semigroup, data):
+    """Each built semigroup is Arf; toggling one number below the conductor may break that.
+
+    The toggle removes a member below the conductor, which keeps a semigroup
+    when the member is a minimal generator, or fills a gap g with g + m past
+    the Frobenius number, which keeps one when 2g is past it too.  Other
+    toggles almost never keep one.
+    """
+    assert is_arf(semigroup.gaps)
+    assert is_arf_double(semigroup)
+    members = semigroup.small_elements[1:-1]
+    top_gaps = [g for g in semigroup.gaps if g + semigroup.multiplicity > semigroup.frobenius]
+    toggled = data.draw(st.sampled_from(members + tuple(top_gaps)))
+    try:
+        near = NumericalSemigroup.from_gaps(set(semigroup.gaps) ^ {toggled})
+    except NotASemigroup:
+        return
+    assert is_arf_double(near) == is_arf(near.gaps)
+
+
+@EXAMPLES
+@given(semigroups())
+def test_multiplicity_is_the_first_positive_element(semigroup):
+    assert semigroup.multiplicity == semigroup.element(1)

@@ -291,10 +291,18 @@ class TestCensus:
         monkeypatch.setattr(enumeration, "is_arf_double", counted)
         request = EnumerationRequest(max_genus=10, mode="arf", emit="count_only")
         rows = census(request)
-        # the root and every child of an Arf node to genus 10, each once; not all 478 nodes
-        assert len(calls) == len(set(calls)) == 238
+        # the root and every sparse child of an Arf node to genus 10, each once; the walk
+        # prunes at index > 2, so these are 93 of the 478 nodes
+        assert len(calls) == len(set(calls)) == 93
         assert all(node.genus == 0 or is_arf_double(node.adjoin_frobenius()) for node in calls)
+        assert all(sparseness_index(node) <= 2 for node in calls)
         assert sum(row.per_class["arf"] for row in rows) == sum(row.total for row in rows)
+
+    def test_arf_walk_visits_only_the_sparse_nodes(self):
+        """Arf semigroups are sparse, so the Arf walk to genus 18 keeps 1202 of 33282 nodes."""
+        walked = [gaps for _, gaps, _ in enumeration._universe(EnumerationRequest(18, mode="arf"))]
+        assert len(walked) == 1202
+        assert walked == [gaps for _, gaps, index in _walk(18) if index <= 2]
 
     @pytest.mark.parametrize("mode", ["kappa_sparse", "pure_kappa_sparse"])
     def test_kappa_modes_compute_no_leap_statistics_per_node(self, monkeypatch, mode):

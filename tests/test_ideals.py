@@ -14,6 +14,9 @@ from sparsegroup import (
     ordinary,
     sparseness_index,
 )
+from sparsegroup.enumeration import _walk
+
+from oracle import PUBLISHED_LEVEL_SIZES, is_arf
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -186,6 +189,16 @@ class TestArfDeciders:
         for g in range(8):
             for node in level(g):
                 assert is_arf_definition(node) == is_arf_double(node) == is_arf_stable(node)
+
+    def test_double_matches_the_all_pairs_scan_to_genus_14(self):
+        walked = arf = 0
+        for _, gaps, _ in _walk(14):
+            expected = is_arf(gaps)
+            assert is_arf_double(NumericalSemigroup._unchecked(gaps)) == expected
+            walked += 1
+            arf += expected
+        assert walked == sum(PUBLISHED_LEVEL_SIZES[:15])
+        assert arf > 0
 
     def test_arf_implies_sparse(self, level):
         for g in range(8):

@@ -1,11 +1,12 @@
 """Hostile CLI inputs that once ran for seconds to minutes, each under a subprocess timeout.
 
-Each run takes under half a second on a shared 2-core host with Python 3.11,
-and took 10 to 25 s when ``minimal_generators`` scanned pairs and
-``from_generators`` swept a byte array.  The timeout leaves 10x headroom, so
-a reintroduced quadratic path fails here instead of slowing the suite down.
-Families with no bound yet (the Arf test on two-block inputs, the odd
-numbers in [m, 2m) as generators) are not run here; see ROADMAP direction 2.
+Each run takes under half a second on a shared 2-core host with Python 3.11.
+The ``info`` runs took 10 to 25 s when ``minimal_generators`` scanned pairs
+and ``from_generators`` swept a byte array; the Arf runs took from two to
+more than ten minutes when the Arf test scanned all pairs of members.  The
+timeout leaves 10x headroom, so a reintroduced quadratic path fails here
+instead of slowing the suite down.  The family with no bound yet, the odd
+numbers in [m, 2m) as generators, is not run here; see ROADMAP direction 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from sparsegroup import NumericalSemigroup, example_family, format_gap_line
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 5
@@ -55,3 +58,45 @@ def test_generators_with_a_conductor_above_the_cap_are_rejected():
         f"error: --generators {text!r}: semigroup generated by {values} "
         "has conductor above the cap 1000000\n"
     )
+
+
+def write_line(tmp_path, semigroup) -> str:
+    path = tmp_path / "line.txt"
+    path.write_text(format_gap_line(semigroup) + "\n")
+    return str(path)
+
+
+def test_classify_on_the_hyperelliptic_arf_line_at_conductor_1e5(tmp_path):
+    """<2, 100001> is Arf, so the Arf test runs through all 50001 members up to the conductor."""
+    hyperelliptic = NumericalSemigroup(tuple(range(1, 100_000, 2)))
+    result = run_cli("classify", "--file", write_line(tmp_path, hyperelliptic))
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert (record["figure_class"], record["arf"], record["hyperelliptic"]) == ("arf", True, True)
+    assert (record["genus"], record["conductor"]) == (50_000, 100_000)
+
+
+def test_classify_on_the_two_block_line_at_conductor_1e5(tmp_path):
+    """example_family(50000, 50000): the members 50000, ..., 99998, then everything from 10^5."""
+    result = run_cli("classify", "--file", write_line(tmp_path, example_family(50_000, 50_000)))
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert (record["figure_class"], record["arf"], record["sparseness_index"]) == (
+        "pure-50000-sparse",
+        False,
+        50_000,
+    )
+    assert (record["genus"], record["conductor"], record["multiplicity"]) == (
+        50_000,
+        100_000,
+        50_000,
+    )
+
+
+def test_check_arf_on_the_hyperelliptic_line_at_conductor_1e5(tmp_path):
+    hyperelliptic = NumericalSemigroup(tuple(range(1, 100_000, 2)))
+    result = run_cli("check", "--arf", "--file", write_line(tmp_path, hyperelliptic))
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert (record["predicate"], record["result"]) == ("arf", True)
+    assert record["gaps"] == list(hyperelliptic.gaps)

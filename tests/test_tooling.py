@@ -37,6 +37,17 @@ def test_pruned_census_matches_the_recorded_digest():
     assert digest == expected["full"]["census_pruned"]["sha256"]
 
 
+def test_arf_census_matches_the_recorded_digest():
+    """The Arf census to genus 18, byte for byte against the SHA-256 of the unpruned walk's output.
+
+    The Arf walk prunes at index > 2, which must lose no Arf member and change no count.
+    """
+    result = run_python("-m", "sparsegroup", "enumerate", "--census", "--arf", "--genus", "18")
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == "cf544add5f8592f80eca0e96f7a7c3cce756483d15194cfdd1acadbd998db91c"
+
+
 def test_verify_sweep_matches_the_recorded_output():
     """The benchmark's verify_sweep command, byte for byte against its recorded stdout."""
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))

@@ -8,12 +8,13 @@ import sys
 from collections.abc import Sequence
 
 from .core import (
+    LimitExceeded,
     NumericalSemigroup,
     SemigroupError,
     format_gap_line,
     parse_gap_line,
 )
-from .enumeration import CensusRow, EnumerationRequest, census, members
+from .enumeration import DEFAULT_GENUS_CAP, CensusRow, EnumerationRequest, census, members
 from .ideals import is_arf_double
 from .kappa import (
     classify,
@@ -140,11 +141,18 @@ def _census_rows_json(rows: list[CensusRow], with_profiles: bool) -> list[dict]:
     return out
 
 
+def _check_genus_cap(genus: int, cap: int) -> None:
+    """Refuse a walk deeper than ``cap``; a negative genus is left for ``EnumerationRequest``."""
+    if 0 <= genus and cap < genus:
+        raise LimitExceeded(f"max_genus {genus} exceeds the cap {cap}")
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.pure and args.kappa is None:
         raise SemigroupError("--pure requires --kappa")
     if args.arf and (args.kappa is not None or args.pure):
         raise SemigroupError("--arf cannot be combined with --kappa/--pure")
+    _check_genus_cap(args.genus, args.cap)
 
     mode = "all"
     if args.arf:
@@ -158,7 +166,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         kappa_filter=args.kappa,
         mode=mode,
         emit="count_only" if args.count_only else "full",
-        cap=args.cap,
     )
     if args.census:
         rows = census(request)
@@ -185,6 +192,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_genus_cap(args.max_genus, DEFAULT_GENUS_CAP)
     results = run_checks(args.max_genus)
     failed = 0
     for result in results:
@@ -236,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--count-only", action="store_true", help="emit counts instead of members")
     p_enum.add_argument("--census", action="store_true", help="tabulate genus levels 0..G")
     p_enum.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_enum.add_argument("--cap", type=int, default=None, help="override the genus cap")
+    p_enum.add_argument("--cap", type=int, default=DEFAULT_GENUS_CAP, help="largest genus allowed")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run every invariant family over a census")

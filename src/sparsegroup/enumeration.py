@@ -2,33 +2,19 @@
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
-from .core import LimitExceeded, NumericalSemigroup
+from .core import NumericalSemigroup
 from .ideals import is_arf_double
 from .leaps import LeapProfile
 
+# The deepest genus the command line walks unless ``enumerate --cap`` says
+# otherwise; library walks are not capped.
 DEFAULT_GENUS_CAP = 18
-GENUS_CAP_ENV = "SPARSEGROUP_MAX_GENUS"
 
 MODES = ("all", "kappa_sparse", "pure_kappa_sparse", "arf")
 EMITS = ("full", "count_only")
-
-
-def genus_cap() -> int:
-    """Enumeration depth cap: the environment override or the default of 18."""
-    raw = os.environ.get(GENUS_CAP_ENV)
-    if raw is None:
-        return DEFAULT_GENUS_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise LimitExceeded(f"{GENUS_CAP_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise LimitExceeded(f"{GENUS_CAP_ENV} must be non-negative, got {value}")
-    return value
 
 
 def children(semigroup: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
@@ -107,14 +93,14 @@ def _walk(
 class EnumerationRequest:
     """A walk over genus levels 0..max_genus: the class it counts and how.
 
-    Every walk is checked here, once: the genus against the cap, and kappa.
+    Every walk is checked here, once: the mode, the emit, the genus and kappa.
+    The genus is not capped; the command line caps it before it asks.
     """
 
     max_genus: int
     kappa_filter: int | None = None
     mode: str = "all"
     emit: str = "full"
-    cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -123,11 +109,6 @@ class EnumerationRequest:
             raise ValueError(f"emit must be one of {EMITS}, got {self.emit!r}")
         if self.max_genus < 0:
             raise ValueError(f"max_genus must be non-negative, got {self.max_genus}")
-        limit = self.cap if self.cap is not None else genus_cap()
-        if self.max_genus > limit:
-            raise LimitExceeded(
-                f"max_genus {self.max_genus} exceeds the cap {limit}"
-            )
         if self.kappa_filter is not None and (
             not isinstance(self.kappa_filter, int) or self.kappa_filter < 1
         ):
@@ -171,23 +152,17 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
             yield node
 
 
-def enumerate_genus(
-    genus: int, *, cap: int | None = None
-) -> Iterator[NumericalSemigroup]:
+def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup with exactly ``genus`` gaps, each exactly once.
 
     Results stream in depth-first tree order, so the output is deterministic.
     """
-    yield from members(EnumerationRequest(genus, cap=cap))
+    yield from members(EnumerationRequest(genus))
 
 
-def enumerate_kappa_sparse(
-    genus: int, kappa: int, *, cap: int | None = None
-) -> Iterator[NumericalSemigroup]:
+def enumerate_kappa_sparse(genus: int, kappa: int) -> Iterator[NumericalSemigroup]:
     """Genus-level slice of the kappa-sparse class, via sound subtree pruning."""
-    yield from members(
-        EnumerationRequest(genus, kappa_filter=kappa, mode="kappa_sparse", cap=cap)
-    )
+    yield from members(EnumerationRequest(genus, kappa_filter=kappa, mode="kappa_sparse"))
 
 
 @dataclass

@@ -36,6 +36,9 @@ from .leaps import frobenius_from_profile, is_hyperelliptic, is_sparse, leap_pro
 Levels = list[list[NumericalSemigroup]]
 Instances = Iterator[str | None]
 
+PAIR_GENUS = 8  # deepest level whose kappa-sparse members are intersected pairwise
+KAPPA_LIMIT = 6  # largest kappa the chain, adjunction, pruning and family checks try
+
 
 @dataclass
 class CheckResult:
@@ -242,22 +245,22 @@ def _pure_classes_partition(levels: Levels) -> Instances:
 
 
 @_family("kappa-chain-strict")
-def _kappa_chain_strict(levels: Levels, kappa_limit: int) -> Instances:
+def _kappa_chain_strict(levels: Levels) -> Instances:
     """Classes grow with kappa, strictly: each step has an explicit witness."""
     for node in _nodes(levels):
         for kappa in range(1, node.genus + 3):
             grows = not is_kappa_sparse(node, kappa) or is_kappa_sparse(node, kappa + 1)
             yield None if grows else f"{_gapstr(node)}: in class {kappa} but not {kappa + 1}"
-    for kappa in range(1, kappa_limit + 1):
+    for kappa in range(1, KAPPA_LIMIT + 1):
         witness = NumericalSemigroup((1,)) if kappa == 1 else example_family(kappa + 1, kappa + 1)
         strict = is_kappa_sparse(witness, kappa + 1) and not is_kappa_sparse(witness, kappa)
         yield None if strict else f"witness {_gapstr(witness)} fails strictness at kappa={kappa}"
 
 
 @_family("intersection-stays-in-class")
-def _intersection_stays_in_class(levels: Levels, pair_genus: int) -> Instances:
+def _intersection_stays_in_class(levels: Levels) -> Instances:
     """Intersecting two kappa-sparse semigroups stays in the class (kappa in 2..4)."""
-    pool = list(_nodes(levels[: pair_genus + 1]))
+    pool = list(_nodes(levels[: PAIR_GENUS + 1]))
     for kappa in (2, 3, 4):
         members = [node for node in pool if is_kappa_sparse(node, kappa)]
         for i, a in enumerate(members):
@@ -267,20 +270,20 @@ def _intersection_stays_in_class(levels: Levels, pair_genus: int) -> Instances:
 
 
 @_family("adjunction-stays-in-class")
-def _adjunction_stays_in_class(levels: Levels, kappa_limit: int) -> Instances:
+def _adjunction_stays_in_class(levels: Levels) -> Instances:
     """Filling the largest gap of a kappa-sparse semigroup stays in the class."""
     for node in _nodes(levels[1:]):
-        for kappa in range(2, kappa_limit + 1):
+        for kappa in range(2, KAPPA_LIMIT + 1):
             if is_kappa_sparse(node, kappa):
                 stays = is_kappa_sparse(node.adjoin_frobenius(), kappa)
                 yield None if stays else f"{_gapstr(node)} kappa={kappa}"
 
 
 @_family("pruned-equals-filtered")
-def _pruned_equals_filtered(levels: Levels, kappa_limit: int) -> Instances:
+def _pruned_equals_filtered(levels: Levels) -> Instances:
     """The pruned class enumerator matches filtering the full enumeration."""
     for genus, level in enumerate(levels):
-        for kappa in range(2, kappa_limit + 1):
+        for kappa in range(2, KAPPA_LIMIT + 1):
             pruned = {node.gaps for node in enumerate_kappa_sparse(genus, kappa)}
             filtered = {node.gaps for node in level if is_kappa_sparse(node, kappa)}
             if pruned == filtered:
@@ -290,10 +293,10 @@ def _pruned_equals_filtered(levels: Levels, kappa_limit: int) -> Instances:
 
 
 @_family("two-block-family-structure")
-def _two_block_family_structure(levels: Levels, kappa_limit: int) -> Instances:
+def _two_block_family_structure(levels: Levels) -> Instances:
     """The two-block family has the stated shape and is unique for its parameters."""
     max_genus = len(levels) - 1
-    for kappa in range(3, kappa_limit + 1):
+    for kappa in range(3, KAPPA_LIMIT + 1):
         for a in range(kappa, kappa + 5):
             genus = 2 * a - kappa
             if genus > max_genus:
@@ -315,18 +318,12 @@ def _two_block_family_structure(levels: Levels, kappa_limit: int) -> Instances:
                     )
 
 
-def run_checks(
-    max_genus: int,
-    *,
-    pair_genus: int = 8,
-    kappa_limit: int = 6,
-) -> list[CheckResult]:
+def run_checks(max_genus: int) -> list[CheckResult]:
     """Run every invariant family over the census of genus at most ``max_genus``."""
-    EnumerationRequest(max_genus)  # rejects a negative genus or one above the cap
+    EnumerationRequest(max_genus)  # rejects a negative genus; the command line caps it
     levels: Levels = [[] for _ in range(max_genus + 1)]
     for depth, gaps, _ in _walk(max_genus):
         levels[depth].append(NumericalSemigroup._unchecked(gaps))
-    pair_genus = min(pair_genus, max_genus)
     return [
         _tree_roundtrip(levels),
         _arf_deciders_agree(levels),
@@ -340,9 +337,9 @@ def run_checks(
         _identity_matches_class(levels),
         _pure_run_agrees(levels),
         _pure_classes_partition(levels),
-        _kappa_chain_strict(levels, kappa_limit),
-        _intersection_stays_in_class(levels, pair_genus),
-        _adjunction_stays_in_class(levels, kappa_limit),
-        _pruned_equals_filtered(levels, kappa_limit),
-        _two_block_family_structure(levels, kappa_limit),
+        _kappa_chain_strict(levels),
+        _intersection_stays_in_class(levels),
+        _adjunction_stays_in_class(levels),
+        _pruned_equals_filtered(levels),
+        _two_block_family_structure(levels),
     ]

@@ -253,12 +253,12 @@ class TestEnumerate:
         assert [row["total"] for row in rows] == [1, 1, 2]
 
     def test_cap_flag_and_env(self, capsys, monkeypatch):
+        """--cap is the only cap; the environment is not read."""
         code, _, err = run(capsys, "enumerate", "--genus", "6", "--cap", "5")
         assert code == 2
-        assert "cap" in err
+        assert err == "error: max_genus 6 exceeds the cap 5\n"
         monkeypatch.setenv("SPARSEGROUP_MAX_GENUS", "4")
-        code, _, err = run(capsys, "enumerate", "--genus", "6")
-        assert code == 2
+        assert run(capsys, "enumerate", "--genus", "6", "--count-only") == (0, "23\n", "")
 
     def test_genus_above_default_cap(self, capsys):
         code, _, err = run(capsys, "enumerate", "--genus", "19")
@@ -274,6 +274,10 @@ class TestVerify:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "all passed" in lines[-1]
         assert not any(line.startswith("FAIL") for line in lines)
+
+    def test_genus_above_the_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-genus", "19")
+        assert (code, out, err) == (2, "", "error: max_genus 19 exceeds the cap 18\n")
 
 
 class TestEntryPoint:

@@ -9,13 +9,11 @@ import pytest
 from sparsegroup import (
     CensusRow,
     EnumerationRequest,
-    LimitExceeded,
     NumericalSemigroup,
     census,
     children,
     enumerate_genus,
     enumerate_kappa_sparse,
-    genus_cap,
     is_arf_double,
     is_kappa_sparse,
     is_pure_kappa_sparse,
@@ -26,7 +24,7 @@ from sparsegroup import (
     sparseness_index,
 )
 from sparsegroup import enumeration
-from sparsegroup.enumeration import EMITS, GENUS_CAP_ENV, MODES, _walk
+from sparsegroup.enumeration import EMITS, MODES, _walk
 
 from oracle import KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
 
@@ -166,10 +164,8 @@ class TestEnumerateGenus:
         assert list(enumerate_genus(6)) == list(enumerate_genus(6))
 
     def test_genus_cap_enforced(self):
-        with pytest.raises(LimitExceeded):
-            next(enumerate_genus(genus_cap() + 1))
-        with pytest.raises(LimitExceeded):
-            next(enumerate_genus(5, cap=4))
+        """The cap belongs to the command line: the library walks past 18."""
+        assert sum(1 for _ in enumerate_genus(19)) == PUBLISHED_LEVEL_SIZES[19] == 22464
 
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -237,30 +233,6 @@ class TestEnumerationRequest:
         with pytest.raises(ValueError):
             EnumerationRequest(max_genus=2, mode="kappa_sparse")
 
-    def test_cap(self):
-        with pytest.raises(LimitExceeded):
-            EnumerationRequest(max_genus=genus_cap() + 1)
-        with pytest.raises(LimitExceeded):
-            EnumerationRequest(max_genus=5, cap=4)
-        EnumerationRequest(max_genus=genus_cap() + 1, cap=genus_cap() + 1)
-
-
-class TestGenusCapOverride:
-    def test_env_var_lowers_the_cap(self, monkeypatch):
-        monkeypatch.setenv(GENUS_CAP_ENV, "5")
-        assert genus_cap() == 5
-        with pytest.raises(LimitExceeded):
-            next(enumerate_genus(6))
-
-    def test_env_var_raises_the_cap(self, monkeypatch):
-        monkeypatch.setenv(GENUS_CAP_ENV, "25")
-        assert genus_cap() == 25
-        EnumerationRequest(max_genus=20)
-
-    def test_garbage_env_var(self, monkeypatch):
-        monkeypatch.setenv(GENUS_CAP_ENV, "lots")
-        with pytest.raises(LimitExceeded):
-            genus_cap()
 
 
 class TestCensus:

@@ -71,3 +71,17 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_reads_no_environment():
+    """Every input comes through arguments: no library module touches the environment."""
+    banned = {"environ", "getenv", "putenv"}
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "sparsegroup").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id in banned)
+        or (isinstance(node, ast.Attribute) and node.attr in banned)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name in banned for alias in node.names))
+    ]
+    assert found == []

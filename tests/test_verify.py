@@ -4,9 +4,8 @@ import pytest
 
 import sparsegroup.leaps
 import sparsegroup.verify
-from sparsegroup import CheckResult, LimitExceeded, enumerate_genus, run_checks
+from sparsegroup import CheckResult, enumerate_genus, run_checks
 from sparsegroup.cli import main
-from sparsegroup.enumeration import GENUS_CAP_ENV
 
 # Every family, in run order, with its instance count over the census to genus 6.
 GENUS_SIX_INSTANCES = {
@@ -66,10 +65,8 @@ def test_tree_roundtrip_catches_a_missing_node():
     assert result.instances == 5
 
 
-def test_run_checks_respects_the_genus_cap(monkeypatch):
-    monkeypatch.setenv(GENUS_CAP_ENV, "3")
-    with pytest.raises(LimitExceeded):
-        run_checks(4)
+def test_run_checks_respects_the_genus_cap():
+    """The command line caps the depth; the library refuses only a negative genus."""
     with pytest.raises(ValueError, match="non-negative"):
         run_checks(-1)
 

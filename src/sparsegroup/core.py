@@ -283,10 +283,6 @@ class NumericalSemigroup:
             return False
         return n >= self.conductor or n not in self._gap_set
 
-    def contains(self, n: int) -> bool:
-        """Membership test; negative integers are never members."""
-        return n in self
-
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal generating set, in increasing order.

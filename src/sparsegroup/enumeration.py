@@ -43,50 +43,53 @@ def _walk(
     index: the largest leap jump, 1 at the root.  No ``NumericalSemigroup``
     is built.  ``keep`` prunes on the index: a node whose index fails it is
     skipped along with its whole subtree.  It is called on the root and on
-    every candidate child, before the child is stacked.
+    every candidate child, in descending order of the removed generator.
 
     A child that removes x from a node with Frobenius number F adds exactly
     one leap, (F, x), so its index is the larger of the node's and x - F.
 
-    The step is the decomposition-number method of Fromentin and Hivert,
-    "Exploring the tree of numerical semigroups" (Math. Comp. 2016).  A node's
-    ``dec[n]`` counts the ways to write n = a + b with a <= b both members, so
-    n is a member iff ``dec[n] > 0``.  The minimal generators above the
-    Frobenius number F are the x in [F + 1, F + m] with ``dec[x] == 1``, m the
-    multiplicity.  Removing x lowers ``dec[y]`` by one wherever y - x is a
-    member.  A node of genus g has F + m <= 3g, so ``3 * max_genus + 3``
-    entries always suffice.  Each stack entry carries its parent's list, and a
-    node makes its own only when popped at a depth below ``max_genus``, so
-    leaves and pruned nodes never pay for one.
+    A node carries its multiplicity m, its member mask over [0, W], the
+    reversed mask (bit W - n set iff n is a member) and its minimal
+    generators above F.  Its child without x > F keeps the generators above
+    x and gains at most y = x + m: a new one is x + s, s a nonzero member,
+    and none exceeds x + m.  It gains y unless some a in (m, x) has a and
+    y - a in the child: one AND of the mask with the reversed mask shifted by
+    W - y.  An ordinary node's child without m is ordinary, with generators
+    m + 1, ..., 2m + 1.  A stacked child holds its parent's masks and the
+    generators after x, or ``None`` if ordinary.  It is built only if popped
+    at a depth d < ``max_genus``, where x, its Frobenius number, is at most
+    2d - 1 and m is at most d + 1, so y <= 3d and W = 3 * ``max_genus`` suffices.
     """
     if keep is not None and not keep(1):
         return
-    size = 3 * max_genus + 3
-    # depth, gaps, multiplicity, index, parent's dec list
-    stack: list[tuple[int, tuple[int, ...], int, int, list[int] | None]] = [
-        (0, (), 1, 1, None)
-    ]
+    width = 3 * max_genus
+    everything = (1 << width + 1) - 1
+    # depth, gaps, multiplicity, index, members, reversed members, generators above F
+    stack = [(0, (), 1, 1, everything, everything, (1,))]
     while stack:
-        depth, gaps, multiplicity, index, parent_dec = stack.pop()
+        depth, gaps, multiplicity, index, members, reversed_members, generators = stack.pop()
         yield depth, gaps, index
         if depth < max_genus:
-            if parent_dec is None:
-                frobenius, start = -1, 1
-                dec = [n // 2 + 1 for n in range(size)]
-            else:
-                frobenius = gaps[-1]
-                start = frobenius + 1
-                dec = parent_dec[:frobenius] + [
-                    d - 1 if below else d
-                    for d, below in zip(parent_dec[frobenius:], parent_dec)
-                ]
-            for x in reversed(range(start, start + multiplicity)):
-                if dec[x] == 1:
-                    child_index = max(index, x - frobenius)
-                    if keep is None or keep(child_index):
-                        # removing the multiplicity happens only at ordinary nodes
-                        lowest = multiplicity + 1 if x == multiplicity else multiplicity
-                        stack.append((depth + 1, gaps + (x,), lowest, child_index, dec))
+            frobenius = gaps[-1] if gaps else -1
+            if gaps:
+                members ^= 1 << frobenius
+                reversed_members ^= 1 << width - frobenius
+                if generators is None:
+                    multiplicity = frobenius + 1
+                    generators = tuple(range(multiplicity, 2 * multiplicity))
+                else:
+                    y = frobenius + multiplicity
+                    sums = (members & reversed_members >> width - y) >> multiplicity + 1
+                    if not sums & (1 << frobenius - multiplicity - 1) - 1:
+                        generators += (y,)
+            for i in reversed(range(len(generators))):
+                x = generators[i]
+                child_index = index if index > x - frobenius else x - frobenius
+                if keep is None or keep(child_index):
+                    tail = None if x == multiplicity else generators[i + 1 :]
+                    stack.append(
+                        (depth + 1, gaps + (x,), multiplicity, child_index, members, reversed_members, tail)
+                    )
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,6 @@ class RelativeIdeal:
             yield m
         yield from range(self.threshold, stop)
 
-    def is_ideal_of(self, semigroup: NumericalSemigroup) -> bool:
-        """Finite verification that adding any member of the semigroup stays inside."""
-        ambient = ideal_at(semigroup, 0)
-        for e in self.elements_below(self.threshold):
-            for h in ambient.elements_below(self.threshold - e):
-                if (e + h) not in self:
-                    return False
-        return True
-
 
 def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
     """Members of the semigroup from its k-th element upward, as a relative ideal.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -31,18 +30,6 @@ class LeapProfile:
     """
 
     counts: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> LeapProfile:
-        items = []
-        for jump in sorted(counts):
-            count = counts[jump]
-            if count == 0:
-                continue
-            if not isinstance(jump, int) or jump < 1 or count < 0:
-                raise ValueError(f"bad profile entry {jump!r}: {count!r}")
-            items.append((jump, count))
-        return cls(tuple(items))
 
     @cached_property
     def _by_jump(self) -> dict[int, int]:

@@ -111,6 +111,30 @@ def brute_force_gap_sets(genus: int) -> list[tuple[int, ...]]:
     ]
 
 
+def leap_counts(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """Ascending (jump, count) pairs with the zero counts dropped, as a leap profile stores them."""
+    items = []
+    for jump in sorted(counts):
+        count = counts[jump]
+        if count == 0:
+            continue
+        if not isinstance(jump, int) or jump < 1 or count < 0:
+            raise ValueError(f"bad profile entry {jump!r}: {count!r}")
+        items.append((jump, count))
+    return tuple(items)
+
+
+def is_ideal_of(members: tuple[int, ...], threshold: int, gaps: tuple[int, ...]) -> bool:
+    """Whether ``members`` and every integer from ``threshold`` on absorb the semigroup's members.
+
+    A sum at or above the threshold is always inside, so each element below it
+    is tried with every member that keeps the sum below it.
+    """
+    inside = set(members)
+    gapset = set(gaps)
+    return all(e + h in inside for e in members for h in range(threshold - e) if h not in gapset)
+
+
 def brute_force_from_generators(generators: list[int], bound: int) -> set[int]:
     """All sums of the generators up to ``bound``, by saturating a reachable set."""
     reachable = {0}

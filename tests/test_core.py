@@ -138,7 +138,7 @@ class TestMembership:
         assert 4 not in gs(1, 2, 4)
 
     def test_zero_always_member(self):
-        assert gs(1, 2, 4).contains(0)
+        assert 0 in gs(1, 2, 4)
         assert 0 in gs()
 
     def test_far_beyond_conductor(self):
@@ -146,7 +146,7 @@ class TestMembership:
 
     def test_negative_is_not_member(self):
         assert -1 not in gs()
-        assert not gs(1, 3).contains(-5)
+        assert -5 not in gs(1, 3)
 
 
 class TestDerivedData:

@@ -16,7 +16,7 @@ from sparsegroup import (
 )
 from sparsegroup.enumeration import _walk
 
-from oracle import PUBLISHED_LEVEL_SIZES, is_arf
+from oracle import PUBLISHED_LEVEL_SIZES, is_arf, is_ideal_of
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -80,7 +80,10 @@ class TestIdealAt:
         for g in range(5):
             for node in level(g):
                 for k in range(len(node.small_elements)):
-                    assert ideal_at(node, k).is_ideal_of(node)
+                    ideal = ideal_at(node, k)
+                    assert is_ideal_of(ideal.members, ideal.threshold, node.gaps)
+        # {0, 1} and everything from 5 is not an ideal of <3, 5, 7>: 0 + 3 falls outside
+        assert not is_ideal_of((0, 1), 5, (1, 2, 4))
 
 
 class TestIdealDifference:

@@ -20,13 +20,15 @@ from sparsegroup import (
     ordinary,
 )
 
+from oracle import leap_counts
+
 
 def gs(*gaps: int) -> NumericalSemigroup:
     return NumericalSemigroup.from_gaps(gaps)
 
 
 def profile(counts: dict[int, int]) -> LeapProfile:
-    return LeapProfile.from_counts(counts)
+    return LeapProfile(leap_counts(counts))
 
 
 class TestLeapSet:

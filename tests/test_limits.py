@@ -6,7 +6,9 @@ and ``from_generators`` swept a byte array; the Arf runs took from two to
 more than ten minutes when the Arf test scanned all pairs of members.  The
 timeout leaves 10x headroom, so a reintroduced quadratic path fails here
 instead of slowing the suite down.  The family with no bound yet, the odd
-numbers in [m, 2m) as generators, is not run here; see ROADMAP direction 2.
+numbers in [m, 2m) as generators, is not run here; see ROADMAP.md.
+The two ``enumerate`` runs at the default genus cap, the heaviest walks the
+command line does without ``--cap``, take under half a second each.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import sys
 from pathlib import Path
 
 from sparsegroup import NumericalSemigroup, example_family, format_gap_line
+from sparsegroup.enumeration import DEFAULT_GENUS_CAP
+
+from oracle import PUBLISHED_LEVEL_SIZES
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 5
@@ -100,3 +105,20 @@ def test_check_arf_on_the_hyperelliptic_line_at_conductor_1e5(tmp_path):
     record = json.loads(result.stdout)
     assert (record["predicate"], record["result"]) == ("arf", True)
     assert record["gaps"] == list(hyperelliptic.gaps)
+
+
+def test_enumerate_at_the_default_cap():
+    """The JSON stream of every semigroup of genus 18, the ordinary one first."""
+    result = run_cli("enumerate", "--genus", str(DEFAULT_GENUS_CAP))
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(set(lines)) == PUBLISHED_LEVEL_SIZES[DEFAULT_GENUS_CAP] == 13467
+    assert json.loads(lines[0]) == {"gaps": list(range(1, DEFAULT_GENUS_CAP + 1))}
+
+
+def test_census_at_the_default_cap():
+    result = run_cli("enumerate", "--census", "--genus", str(DEFAULT_GENUS_CAP))
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)
+    assert [row["total"] for row in rows] == list(PUBLISHED_LEVEL_SIZES[: DEFAULT_GENUS_CAP + 1])
+    assert all(sum(p["count"] for p in row["profiles"]) == row["total"] for row in rows)

@@ -165,7 +165,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         max_genus=args.genus,
         kappa_filter=args.kappa,
         mode=mode,
-        emit="count_only" if args.count_only else "full",
+        # the TSV census prints no leap profiles, so it need not build them
+        emit="count_only" if args.count_only or args.format == "tsv" else "full",
     )
     if args.census:
         rows = census(request)

@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 # Constructors refuse semigroups whose conductor exceeds this.  The cap bounds
-# size, not time.  ``from_gaps``, ``from_generators`` and ``minimal_generators``
-# spend a few shift-ors on c-bit integers per minimal generator they span
-# (``_spanning``): 0.13-0.31 s each at c = 10^6 on <2, c + 1>, <1000, c + 1, ...,
-# c + 999> and <9889, ..., 9988>.  Many small generators, the odd numbers in
-# [m, 2m) with c = 3m, took 1.7, 0.11 and 0.38 s at c = 10^5 and 111, 12 and 34 s
-# at 10^6 (ROADMAP direction 2).  A whole ``classify --file`` run took about
-# 0.24 s at c = 10^5 and 1.2-1.4 s at 10^6 on <2, c + 1> and example_family(c/2, c/2)
-# (Python 3.11, shared 2-core host).
+# size; ``MAX_SPANNING_WORK`` bounds time.  ``from_gaps``, ``from_generators`` and
+# ``minimal_generators`` spend a few shift-ors on c-bit integers per minimal
+# generator they span (``_spanning``): 0.13-0.31 s each at c = 10^6 on <2, c + 1>,
+# <1000, c + 1, ..., c + 999> and <9889, ..., 9988>.  A whole ``classify --file``
+# run took about 0.24 s at c = 10^5 and 1.2-1.4 s at 10^6 on <2, c + 1> and
+# example_family(c/2, c/2) (Python 3.11, shared 2-core host).
 DEFAULT_MAX_CONDUCTOR = 1_000_000
+
+# One ``_spanning`` pass refuses to span more numbers than this divided by the
+# bits of its window, since each costs a few shift-ors over the whole window.
+# Many small generators, the odd numbers in [m, 2m) with c = 3m, took 111 s in
+# ``from_generators`` at c = 10^6 with 2 * 10^11 of this work, and 2.6 s for
+# ``info`` at c = 10^5 with 4.4 * 10^9.  Every input the tests and the README
+# expect to be accepted needs at most 2 * 10^8; the slowest accepted ``info``
+# found takes about 1.3 s (same host).
+MAX_SPANNING_WORK = 2_000_000_000
 
 
 class SemigroupError(ValueError):
@@ -44,7 +51,7 @@ class TrivialSemigroup(SemigroupError):
 
 
 class LimitExceeded(SemigroupError):
-    """A size limit (conductor cap or genus cap) would be exceeded."""
+    """A limit (conductor cap, spanning work cap or genus cap) would be exceeded."""
 
 
 def _bitmask(values: Iterable[int], width: int) -> int:
@@ -70,15 +77,24 @@ def _spanning(members: int, stop: int) -> Iterator[tuple[int, int]]:
     before it, where ``spanned`` is the semigroup the yielded x generate, as a
     mask cut to [0, stop].  Adding x costs O(log(stop / x)) shift-ors on
     stop-bit integers: after k passes, up to 2^k - 1 copies of x are added.
+    Raises :class:`LimitExceeded` rather than yield more than
+    ``MAX_SPANNING_WORK // (stop + 1)`` of them.
     """
     window = (1 << (stop + 1)) - 1
     members &= window
     spanned = 1
     x = 0
+    budget = MAX_SPANNING_WORK // (stop + 1)  # how many x this window may yield
     while True:
         untested = (members & ~spanned) >> (x + 1)
         if not untested:
             return
+        if not budget:
+            raise LimitExceeded(
+                f"spanning more than {MAX_SPANNING_WORK // (stop + 1)} generators in a "
+                f"{stop + 1}-bit window exceeds the work cap {MAX_SPANNING_WORK}"
+            )
+        budget -= 1
         x += (untested & -untested).bit_length()
         step = x
         while step <= stop:
@@ -87,12 +103,12 @@ def _spanning(members: int, stop: int) -> Iterator[tuple[int, int]]:
         yield x, spanned
 
 
-def _closure_violation(gaps: Sequence[int]) -> tuple[int, int] | None:
+def _closure_violation(gapmask: int) -> tuple[int, int] | None:
     """Return the lexicographically first non-gaps x <= y with x + y a gap, or None.
 
-    ``gaps`` is strictly increasing and non-empty.  Only sums at or below the
-    largest gap ``top`` can violate closure.  With the gaps and the members
-    below ``top`` as bit masks, one shift-and per x yields every y >= x whose
+    ``gapmask`` has bit n set for each gap n and is non-zero.  Only sums at or
+    below the largest gap ``top`` can violate closure.  With the members below
+    ``top`` as a bit mask too, one shift-and per x yields every y >= x whose
     sum with x is a gap, and the lowest set bit is the least such y.
 
     Only the x <= top / 2 that ``_spanning`` yields need that test: when every
@@ -100,8 +116,7 @@ def _closure_violation(gaps: Sequence[int]) -> tuple[int, int] | None:
     satisfies x + S = a + (b + S) in a + S in S.  So the first x that fails is
     still found, with the same least y.
     """
-    top = gaps[-1]
-    gapmask = _bitmask(gaps, top + 1)
+    top = gapmask.bit_length() - 1
     members = ((1 << top) - 2) & ~gapmask  # the members in [1, top)
     for x, _ in _spanning(members, top // 2):
         hits = (members >> x) & (gapmask >> 2 * x)
@@ -141,8 +156,9 @@ class NumericalSemigroup:
         """Construction without the ``__post_init__`` scan, for gaps valid by construction.
 
         For gap tuples already known to be strictly increasing positive
-        integers: the tree walk's; ``from_gaps``'s own after it has validated,
-        sorted and deduplicated them; ``from_generators``', read off its span;
+        integers: the tree walk's; ``from_gaps``'s own once it has checked,
+        sorted and deduplicated the values, before it checks closure on the
+        result's ``gap_mask``; ``from_generators``', read off its span;
         ``intersect``'s sorted union of two gap sets; and ``adjoin_frobenius``'s
         prefix of the gaps.  The tests check the walk against ``children()``,
         and ``verify`` revalidates every node it builds this way with
@@ -153,43 +169,33 @@ class NumericalSemigroup:
         return semigroup
 
     @classmethod
-    def from_gaps(
-        cls,
-        gaps: Iterable[int],
-        *,
-        max_conductor: int = DEFAULT_MAX_CONDUCTOR,
-    ) -> NumericalSemigroup:
+    def from_gaps(cls, gaps: Iterable[int]) -> NumericalSemigroup:
         """Validated construction from an arbitrary collection of gap values.
 
-        Raises :class:`InvalidGap` for non-positive entries, :class:`NotASemigroup`
-        when the complement is not additively closed, and :class:`LimitExceeded`
-        when the conductor would pass ``max_conductor``.
+        Raises :class:`InvalidGap` for non-positive entries, :class:`LimitExceeded`
+        when the conductor would pass ``DEFAULT_MAX_CONDUCTOR``, before any
+        mask is built, and :class:`NotASemigroup` when the complement is not
+        additively closed.  The semigroup is built first and its own cached
+        ``gap_mask`` is the one the closure check reads.
         """
         collected = set(gaps)
         for value in collected:
             if not isinstance(value, int) or value < 1:
                 raise InvalidGap(f"gap values must be positive integers, got {value!r}")
         values = sorted(collected)
-        if values and values[-1] >= max_conductor:
+        if values and values[-1] >= DEFAULT_MAX_CONDUCTOR:
             raise LimitExceeded(
-                f"conductor {values[-1] + 1} exceeds the cap {max_conductor}"
+                f"conductor {values[-1] + 1} exceeds the cap {DEFAULT_MAX_CONDUCTOR}"
             )
-        if values:
-            violation = _closure_violation(values)
-            if violation is not None:
-                x, y = violation
-                raise NotASemigroup(
-                    f"{x} and {y} are non-gaps but their sum {x + y} is a gap"
-                )
-        return cls._unchecked(tuple(values))
+        semigroup = cls._unchecked(tuple(values))
+        violation = _closure_violation(semigroup.gap_mask) if values else None
+        if violation is not None:
+            x, y = violation
+            raise NotASemigroup(f"{x} and {y} are non-gaps but their sum {x + y} is a gap")
+        return semigroup
 
     @classmethod
-    def from_generators(
-        cls,
-        generators: Iterable[int],
-        *,
-        max_conductor: int = DEFAULT_MAX_CONDUCTOR,
-    ) -> NumericalSemigroup:
+    def from_generators(cls, generators: Iterable[int]) -> NumericalSemigroup:
         """Smallest numerical semigroup containing ``generators``.
 
         Defined exactly when the generators are coprime as a set; otherwise the
@@ -212,7 +218,7 @@ class NumericalSemigroup:
                 f"generators {values} have gcd {math.gcd(*values)}; complement is infinite"
             )
         lowest = values[0]
-        limit = min(lowest * values[-1], max_conductor + lowest) + 1
+        limit = min(lowest * values[-1], DEFAULT_MAX_CONDUCTOR + lowest) + 1
         width = min(2 * values[-1], limit)
         while True:
             members = _bitmask((g for g in values if g < width), width)
@@ -224,9 +230,9 @@ class NumericalSemigroup:
                 break
             width = min(2 * width, limit)
         conductor = gapmask.bit_length()
-        if conductor > width - lowest or conductor > max_conductor:
+        if conductor > width - lowest or conductor > DEFAULT_MAX_CONDUCTOR:
             raise LimitExceeded(
-                f"semigroup generated by {values} has conductor above the cap {max_conductor}"
+                f"semigroup generated by {values} has conductor above the cap {DEFAULT_MAX_CONDUCTOR}"
             )
         return cls._unchecked(_bits(gapmask))
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sparsegroup import is_arf_double, is_kappa_sparse, is_pure_kappa_sparse
+from sparsegroup import enumeration, is_arf_double, is_kappa_sparse, is_pure_kappa_sparse
 from sparsegroup.cli import main
 
 
@@ -235,6 +235,20 @@ class TestEnumerate:
         totals = [int(line.split("\t")[1]) for line in lines[1:]]
         assert totals == [1, 1, 2, 4]
 
+    @pytest.mark.parametrize("flags", [(), ("--kappa", "3")])
+    def test_census_tsv_builds_no_leap_profiles(self, capsys, monkeypatch, flags):
+        """The TSV table has no profile column, so the census must not count leaps for it."""
+
+        def refuse(counts, jump):
+            raise AssertionError("leap counts built for a TSV census")
+
+        monkeypatch.setattr(enumeration, "_add_leap", refuse)
+        code, out, _ = run(capsys, "enumerate", "--genus", "6", "--census", "--format", "tsv", *flags)
+        assert code == 0
+        assert [int(line.split("\t")[1]) for line in out.splitlines()[1:]] == (
+            [1, 1, 2, 4, 7, 12, 23] if not flags else [1, 1, 2, 4, 6, 9, 15]
+        )
+
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--genus", "2", "--census")
         assert code == 0
@@ -282,11 +296,15 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        src = Path(__file__).resolve().parent.parent / "src"
         result = subprocess.run(
             [sys.executable, "-m", "sparsegroup", "info", "--gaps", "1,2,4"],
+            env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
             check=False,

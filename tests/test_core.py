@@ -14,6 +14,7 @@ from sparsegroup import (
     ordinary,
     parse_gap_line,
 )
+from sparsegroup import core
 from sparsegroup.enumeration import _walk
 
 from oracle import (
@@ -63,12 +64,32 @@ class TestFromGaps:
         with pytest.raises(InvalidGap):
             NumericalSemigroup.from_gaps([bad])
 
-    def test_conductor_cap(self):
+    def test_conductor_cap(self, monkeypatch):
         with pytest.raises(LimitExceeded):
             NumericalSemigroup.from_gaps([10**6])
-        NumericalSemigroup.from_gaps([1, 2, 3], max_conductor=10)
+        monkeypatch.setattr(core, "DEFAULT_MAX_CONDUCTOR", 10)
+        NumericalSemigroup.from_gaps([1, 2, 3])
         with pytest.raises(LimitExceeded):
-            NumericalSemigroup.from_gaps(range(1, 15), max_conductor=10)
+            NumericalSemigroup.from_gaps(range(1, 15))
+
+    def test_one_gap_mask_per_validated_semigroup(self, monkeypatch):
+        """The closure check reads the mask that the semigroup keeps for its derived data."""
+        masks = []
+        bitmask = core._bitmask
+        monkeypatch.setattr(core, "_bitmask", lambda *args: masks.append(args) or bitmask(*args))
+        semigroup = NumericalSemigroup.from_gaps([4, 1, 2, 5, 8])
+        assert semigroup.gap_mask == 0b100110110
+        assert semigroup.multiplicity == 3
+        assert semigroup.minimal_generators == (3, 7, 11)
+        assert len(masks) == 1
+
+    def test_the_cap_is_checked_before_any_mask_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a mask was built for a gap above the cap")
+
+        monkeypatch.setattr(core, "_bitmask", refuse)
+        with pytest.raises(LimitExceeded, match="conductor 1000000001 exceeds the cap 1000000"):
+            NumericalSemigroup.from_gaps([1, 10**9])
 
     def test_input_order_and_duplicates_are_normalised(self):
         assert NumericalSemigroup.from_gaps([4, 1, 2, 2]) == gs(1, 2, 4)
@@ -109,13 +130,22 @@ class TestFromGenerators:
         for n in range(100):
             assert (n in semigroup) == (n in reachable)
 
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_MAX_CONDUCTOR", 1000)
         with pytest.raises(LimitExceeded):
-            NumericalSemigroup.from_generators([101, 103], max_conductor=1000)
+            NumericalSemigroup.from_generators([101, 103])
 
-    def test_generators_far_above_the_conductor_are_redundant(self):
+    def test_a_negative_cap_refuses_even_the_naturals(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_MAX_CONDUCTOR", 0)
+        assert NumericalSemigroup.from_generators([1, 5]) == gs()
+        monkeypatch.setattr(core, "DEFAULT_MAX_CONDUCTOR", -1)
+        with pytest.raises(LimitExceeded, match=r"generated by \[1, 5\] has conductor above the cap -1"):
+            NumericalSemigroup.from_generators([1, 5])
+
+    def test_generators_far_above_the_conductor_are_redundant(self, monkeypatch):
         assert NumericalSemigroup.from_generators([2, 3, 10**9]) == gs(1)
-        assert NumericalSemigroup.from_generators([3, 5, 7, 2001], max_conductor=1000) == gs(1, 2, 4)
+        monkeypatch.setattr(core, "DEFAULT_MAX_CONDUCTOR", 1000)
+        assert NumericalSemigroup.from_generators([3, 5, 7, 2001]) == gs(1, 2, 4)
 
 
 class TestOrdinary:

@@ -26,6 +26,7 @@ from sparsegroup import (
     is_kappa_sparse_run,
     sparseness_index,
 )
+from sparsegroup import core
 
 from oracle import (
     brute_force_from_generators,
@@ -123,9 +124,12 @@ def test_from_generators_matches_the_saturated_sums(generators):
 def test_from_generators_accepts_the_conductor_as_cap_and_rejects_one_less(generators):
     semigroup = NumericalSemigroup.from_generators(generators)
     cap = semigroup.conductor
-    assert NumericalSemigroup.from_generators(generators, max_conductor=cap) == semigroup
-    with pytest.raises(LimitExceeded) as excinfo:
-        NumericalSemigroup.from_generators(generators, max_conductor=cap - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "DEFAULT_MAX_CONDUCTOR", cap)
+        assert NumericalSemigroup.from_generators(generators) == semigroup
+        patch.setattr(core, "DEFAULT_MAX_CONDUCTOR", cap - 1)
+        with pytest.raises(LimitExceeded) as excinfo:
+            NumericalSemigroup.from_generators(generators)
     values = sorted(set(generators))
     assert str(excinfo.value) == (
         f"semigroup generated by {values} has conductor above the cap {cap - 1}"

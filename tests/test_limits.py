@@ -1,14 +1,19 @@
 """Hostile CLI inputs that once ran for seconds to minutes, each under a subprocess timeout.
 
-Each run takes under half a second on a shared 2-core host with Python 3.11.
-The ``info`` runs took 10 to 25 s when ``minimal_generators`` scanned pairs
-and ``from_generators`` swept a byte array; the Arf runs took from two to
-more than ten minutes when the Arf test scanned all pairs of members.  The
-timeout leaves 10x headroom, so a reintroduced quadratic path fails here
-instead of slowing the suite down.  The family with no bound yet, the odd
-numbers in [m, 2m) as generators, is not run here; see ROADMAP.md.
-The two ``enumerate`` runs at the default genus cap, the heaviest walks the
-command line does without ``--cap``, take under half a second each.
+Each run takes under half a second on a shared 2-core host with Python 3.11,
+apart from the near-cap gap line of the odd family, which takes about 1.3 s,
+most of it parsing 666666 gaps.  The ``info`` runs took 10 to 25 s when
+``minimal_generators`` scanned pairs and ``from_generators`` swept a byte
+array; the Arf runs took from two to more than ten minutes when the Arf test
+scanned all pairs of members.  The odd numbers in [m, 2m), many small
+generators, took 2.6 s as ``--generators`` at m = 33335 and minutes near the
+conductor cap before ``core.MAX_SPANNING_WORK`` refused them.  They are run
+as ``--generators`` at m = 40001, a list that nearly fills one command-line
+argument (128 KiB on Linux), and as a gap line near the conductor cap.  The
+timeout leaves 4x to 10x headroom, so a reintroduced quadratic path fails
+here instead of slowing the suite down.  The two ``enumerate`` runs at the
+default genus cap, the heaviest walks the command line does without
+``--cap``, take under half a second each.
 """
 
 from __future__ import annotations
@@ -62,6 +67,43 @@ def test_generators_with_a_conductor_above_the_cap_are_rejected():
     assert result.stderr == (
         f"error: --generators {text!r}: semigroup generated by {values} "
         "has conductor above the cap 1000000\n"
+    )
+
+
+def odd_family(m: int) -> list[int]:
+    """The odd numbers in [m, 2m), for odd m: minimal generators of a semigroup with conductor 3m - 1."""
+    return list(range(m, 2 * m, 2))
+
+
+def odd_family_gaps(m: int) -> list[int]:
+    """Below 3m - 1 the members are 0, the odd numbers in [m, 2m) and the even ones from 2m."""
+    return [n for n in range(1, 3 * m - 1) if not (m <= n < 2 * m if n % 2 else n >= 2 * m)]
+
+
+def test_many_small_generators_are_refused_by_the_work_cap():
+    """20001 generators from 40001, conductor 120002: the first 160002-bit window may span 12499."""
+    text = ",".join(map(str, odd_family(40_001)))
+    result = run_cli("info", "--generators", text)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: --generators {text!r}: spanning more than 12499 generators in a "
+        "160002-bit window exceeds the work cap 2000000000\n"
+    )
+
+
+def test_the_odd_family_near_the_conductor_cap_is_refused_by_the_work_cap(tmp_path):
+    """m = 333333, conductor 999998: the closure check may span 4000 of its 83333 generators below top / 2."""
+    for m in (1, 3, 101):
+        assert NumericalSemigroup.from_generators(odd_family(m)).gaps == tuple(odd_family_gaps(m))
+    path = tmp_path / "odd.txt"
+    path.write_text(",".join(map(str, odd_family_gaps(333_333))) + "\n")
+    result = run_cli("info", "--file", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: --file {path} line 1: spanning more than 4000 generators in a "
+        "499999-bit window exceeds the work cap 2000000000\n"
     )
 
 

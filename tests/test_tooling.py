@@ -85,3 +85,18 @@ def test_library_reads_no_environment():
         or (isinstance(node, ast.ImportFrom) and any(alias.name in banned for alias in node.names))
     ]
     assert found == []
+
+
+def test_no_library_function_takes_a_conductor_cap():
+    """The conductor cap is ``core.DEFAULT_MAX_CONDUCTOR``, read at call time, and nothing else."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path in sorted((ROOT / "src" / "sparsegroup").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            arg.arg == "max_conductor"
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        )
+    ]
+    assert found == []

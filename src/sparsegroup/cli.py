@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from functools import partial
 
 from .core import (
     LimitExceeded,
@@ -32,31 +33,44 @@ def _profile_json(profile) -> dict[str, int]:
     return {str(jump): count for jump, count in profile.counts}
 
 
-def _load_inputs(args: argparse.Namespace) -> list[NumericalSemigroup]:
-    """Resolve the single input source to a list of semigroups."""
-    if args.gaps is not None:
-        try:
-            return [parse_gap_line(args.gaps)]
-        except SemigroupError as exc:
-            raise SemigroupError(f"--gaps {args.gaps!r}: {exc}") from None
-    if args.generators is not None:
-        try:
-            values = [int(token) for token in args.generators.split(",")] if args.generators.strip() else []
-            return [NumericalSemigroup.from_generators(values)]
-        except (ValueError, SemigroupError) as exc:
-            raise SemigroupError(f"--generators {args.generators!r}: {exc}") from None
-    out = []
+def _parse_generators(text: str) -> NumericalSemigroup:
+    """A ``--generators`` list; an unparsable token is a SemigroupError, labelled like the rest."""
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise SemigroupError(f"--file {args.file}: {exc}") from None
-    for number, line in enumerate(lines, start=1):
+        values = [int(token) for token in text.split(",")] if text.strip() else []
+    except ValueError as exc:
+        raise SemigroupError(str(exc)) from None
+    return NumericalSemigroup.from_generators(values)
+
+
+def _inputs(args: argparse.Namespace) -> Iterator[tuple[str, Callable[[], NumericalSemigroup]]]:
+    """The single input source as (label, build) pairs, one per semigroup, built on demand."""
+    if args.gaps is not None:
+        yield f"--gaps {args.gaps!r}", partial(parse_gap_line, args.gaps)
+    elif args.generators is not None:
+        yield f"--generators {args.generators!r}", partial(_parse_generators, args.generators)
+    else:
         try:
-            out.append(parse_gap_line(line))
+            with open(args.file, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+        except OSError as exc:
+            raise SemigroupError(f"--file {args.file}: {exc}") from None
+        for number, line in enumerate(lines, start=1):
+            yield f"--file {args.file} line {number}", partial(parse_gap_line, line)
+
+
+def _print_reports(args: argparse.Namespace, report: Callable[[NumericalSemigroup], str]) -> None:
+    """Build, report and drop one input at a time; print the reports once all succeed.
+
+    A :class:`SemigroupError` names its input; other errors, such as a bad kappa, pass as they are.
+    """
+    reports = []
+    for label, build in _inputs(args):
+        try:
+            reports.append(report(build()))
         except SemigroupError as exc:
-            raise SemigroupError(f"--file {args.file} line {number}: {exc}") from None
-    return out
+            raise SemigroupError(f"{label}: {exc}") from None
+    for text in reports:
+        print(text)
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -67,8 +81,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    for semigroup in _load_inputs(args):
-        print(json.dumps(semigroup.describe()))
+    _print_reports(args, lambda semigroup: json.dumps(semigroup.describe()))
     return 0
 
 
@@ -84,29 +97,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         name, predicate = "pure_kappa_sparse", lambda s: is_pure_kappa_sparse(s, args.pure)
     kappa = args.kappa if args.kappa is not None else args.pure
-    all_hold = True
-    for semigroup in _load_inputs(args):
+    results = []
+
+    def report(semigroup: NumericalSemigroup) -> str:
         result = predicate(semigroup)
-        all_hold = all_hold and result
+        results.append(result)
         record = {"predicate": name, "gaps": list(semigroup.gaps), "result": result}
         if kappa is not None:
             record["kappa"] = kappa
-        print(json.dumps(record))
-    return 0 if all_hold else 1
+        return json.dumps(record)
+
+    _print_reports(args, report)
+    return 0 if all(results) else 1
 
 
 def _cmd_leaps(args: argparse.Namespace) -> int:
-    for semigroup in _load_inputs(args):
-        print(json.dumps(_profile_json(leap_profile(semigroup))))
-        for leap in leap_set(semigroup):
-            print(f"{leap.lo}\t{leap.hi}")
+    def report(semigroup: NumericalSemigroup) -> str:
+        pairs = (f"{leap.lo}\t{leap.hi}" for leap in leap_set(semigroup))
+        return "\n".join([json.dumps(_profile_json(leap_profile(semigroup))), *pairs])
+
+    _print_reports(args, report)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    for semigroup in _load_inputs(args):
+    def report(semigroup: NumericalSemigroup) -> str:
         result = classify(semigroup)
-        report = sparseness_report(semigroup, result.sparseness_index)
+        checks = sparseness_report(semigroup, result.sparseness_index)
         record = {
             "gaps": list(semigroup.gaps),
             "genus": result.genus,
@@ -119,10 +136,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "sparseness_index": result.sparseness_index,
             "figure_class": result.figure_class,
             "profile": _profile_json(result.profile),
-            "pure_witness": list(report.pure_witness) if report.pure_witness else None,
-            "checks": report.checks_dict(),
+            "pure_witness": list(checks.pure_witness) if checks.pure_witness else None,
+            "checks": checks.checks_dict(),
         }
-        print(json.dumps(record))
+        return json.dumps(record)
+
+    _print_reports(args, report)
     return 0
 
 

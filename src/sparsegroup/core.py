@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,7 +131,7 @@ class NumericalSemigroup:
     """A cofinite, additively closed subset of the naturals containing 0.
 
     The strictly increasing gap tuple is the canonical form: equality and
-    hashing are structural.  Membership and generator data are derived caches.
+    hashing are structural.  Membership searches it; derived data are cached.
     The direct constructor trusts its input apart from cheap shape checks;
     ``from_gaps`` and ``from_generators`` are the validating entry points.
     """
@@ -142,7 +143,7 @@ class NumericalSemigroup:
             raise TypeError("gaps must be a tuple; use from_gaps() for other iterables")
         previous = 0
         for gap in self.gaps:
-            if not isinstance(gap, int) or gap <= previous:
+            if type(gap) is not int or gap <= previous:
                 raise InvalidGap(
                     f"gaps must be strictly increasing positive integers, got {self.gaps!r}"
                 )
@@ -180,7 +181,7 @@ class NumericalSemigroup:
         """
         collected = set(gaps)
         for value in collected:
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise InvalidGap(f"gap values must be positive integers, got {value!r}")
         values = sorted(collected)
         if values and values[-1] >= DEFAULT_MAX_CONDUCTOR:
@@ -203,12 +204,14 @@ class NumericalSemigroup:
         built in a window that starts at twice the largest generator and
         doubles, up to min * max or the cap plus min, until its top min
         numbers, and so all above, are members.  The gaps are its zero bits.
+        Its last pass yields exactly the minimal generators (all below c + min),
+        kept with its gap mask as the result's ``minimal_generators`` and ``gap_mask``.
         """
         collected = set(generators)
         if not collected:
             raise NotCofinite("an empty generating set spans only {0}")
         for value in collected:
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise InvalidGenerator(
                     f"generators must be positive integers, got {value!r}"
                 )
@@ -222,9 +225,9 @@ class NumericalSemigroup:
         width = min(2 * values[-1], limit)
         while True:
             members = _bitmask((g for g in values if g < width), width)
-            spanned = 1  # {0} if no generator fits the window, as for a negative cap
-            for _, spanned in _spanning(members, width - 1):
-                pass  # keep the last, full span
+            spanned, minimal = 1, []  # {0} if no generator fits, as for a negative cap
+            for x, spanned in _spanning(members, width - 1):
+                minimal.append(x)
             gapmask = ((1 << width) - 1) & ~spanned
             if gapmask.bit_length() <= width - lowest or width == limit:
                 break
@@ -234,7 +237,9 @@ class NumericalSemigroup:
             raise LimitExceeded(
                 f"semigroup generated by {values} has conductor above the cap {DEFAULT_MAX_CONDUCTOR}"
             )
-        return cls._unchecked(_bits(gapmask))
+        semigroup = cls._unchecked(_bits(gapmask))
+        vars(semigroup).update(gap_mask=gapmask, minimal_generators=tuple(minimal))
+        return semigroup
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -255,18 +260,14 @@ class NumericalSemigroup:
         return self.conductor - 1
 
     @cached_property
-    def _gap_set(self) -> frozenset[int]:
-        return frozenset(self.gaps)
-
-    @cached_property
     def gap_mask(self) -> int:
         """The integer whose bit n is set exactly when n is a gap."""
         return _bitmask(self.gaps, self.conductor)
 
     @cached_property
     def small_elements(self) -> tuple[int, ...]:
-        """Members from 0 up to and including the conductor."""
-        gapset = self._gap_set
+        """Members from 0 up to and including the conductor, read off a transient gap set."""
+        gapset = set(self.gaps)
         return tuple(n for n in range(self.conductor + 1) if n not in gapset)
 
     @cached_property
@@ -285,9 +286,8 @@ class NumericalSemigroup:
         return self.conductor + (k - len(small) + 1)
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return n >= self.conductor or n not in self._gap_set
+        """Binary search of the gap tuple: O(log genus), with no state of its own."""
+        return n >= 0 and (n >= self.conductor or self.gaps[bisect_left(self.gaps, n)] != n)
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -313,7 +313,7 @@ class NumericalSemigroup:
 
     def intersect(self, other: NumericalSemigroup) -> NumericalSemigroup:
         """Intersection of two semigroups; the gap sets simply union."""
-        return NumericalSemigroup._unchecked(tuple(sorted(self._gap_set | other._gap_set)))
+        return NumericalSemigroup._unchecked(tuple(sorted({*self.gaps, *other.gaps})))
 
     __and__ = intersect
 

@@ -113,7 +113,7 @@ class EnumerationRequest:
         if self.max_genus < 0:
             raise ValueError(f"max_genus must be non-negative, got {self.max_genus}")
         if self.kappa_filter is not None and (
-            not isinstance(self.kappa_filter, int) or self.kappa_filter < 1
+            type(self.kappa_filter) is not int or self.kappa_filter < 1
         ):
             raise ValueError(f"kappa_filter must be a positive integer, got {self.kappa_filter!r}")
         if self.mode in ("kappa_sparse", "pure_kappa_sparse") and self.kappa_filter is None:

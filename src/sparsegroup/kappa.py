@@ -14,7 +14,7 @@ class InvalidParameters(SemigroupError):
 
 
 def _require_kappa(kappa: int, minimum: int) -> None:
-    if not isinstance(kappa, int) or kappa < minimum:
+    if type(kappa) is not int or kappa < minimum:
         raise ValueError(f"kappa must be an integer >= {minimum}, got {kappa!r}")
 
 
@@ -105,7 +105,7 @@ def example_family(a: int, kappa: int) -> NumericalSemigroup:
     Needs kappa >= 3 and a >= kappa; the result has genus 2a - kappa,
     multiplicity a, and is pure kappa-sparse.
     """
-    if not isinstance(kappa, int) or not isinstance(a, int) or kappa < 3 or a < kappa:
+    if type(kappa) is not int or type(a) is not int or kappa < 3 or a < kappa:
         raise InvalidParameters(f"need kappa >= 3 and a >= kappa, got a={a!r}, kappa={kappa!r}")
     gaps = tuple(range(1, a)) + tuple(range(a + kappa - 1, 2 * a))
     return NumericalSemigroup(gaps)

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from sparsegroup import enumeration, is_arf_double, is_kappa_sparse, is_pure_kappa_sparse
+from sparsegroup import (
+    enumeration,
+    example_family,
+    format_gap_line,
+    is_arf_double,
+    is_kappa_sparse,
+    is_pure_kappa_sparse,
+)
 from sparsegroup.cli import main
 
 
@@ -71,6 +78,24 @@ class TestInfo:
         _, second, _ = run(capsys, "info", "--gaps", "1,2,4")
         assert first == second
 
+    # example_family(51700, 51700) is valid, but its minimal generators pass the work cap
+    REFUSAL = (
+        "spanning more than 25789 generators in a 77550-bit window exceeds the work cap 2000000000"
+    )
+
+    def test_a_refusal_while_reporting_names_the_line_and_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text("1,2,4\n" + format_gap_line(example_family(51_700, 51_700)) + "\n")
+        code, out, err = run(capsys, "info", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --file {path} line 2: {self.REFUSAL}\n"
+
+    def test_a_refusal_while_reporting_names_the_gap_list(self, capsys):
+        text = format_gap_line(example_family(51_700, 51_700))
+        code, out, err = run(capsys, "info", "--gaps", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: --gaps {text!r}: {self.REFUSAL}\n"
+
 
 class TestCheck:
     @pytest.mark.parametrize(
@@ -104,9 +129,10 @@ class TestCheck:
         assert excinfo.value.code == 2
 
     def test_bad_kappa_is_a_validation_error(self, capsys):
-        code, _, err = run(capsys, "check", "--kappa", "0", "--gaps", "1")
-        assert code == 2
-        assert "kappa" in err
+        """Only a ``SemigroupError`` names the input; a bad kappa keeps its own text."""
+        code, out, err = run(capsys, "check", "--kappa", "0", "--gaps", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: kappa must be an integer >= 1, got 0\n"
 
     def test_file_input_requires_all_lines_to_hold(self, capsys, tmp_path):
         path = tmp_path / "input.txt"

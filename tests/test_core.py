@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from sparsegroup import (
@@ -11,11 +13,13 @@ from sparsegroup import (
     NumericalSemigroup,
     TrivialSemigroup,
     format_gap_line,
+    is_kappa_sparse,
+    is_pure_kappa_sparse,
     ordinary,
     parse_gap_line,
 )
 from sparsegroup import core
-from sparsegroup.enumeration import _walk
+from sparsegroup.enumeration import EnumerationRequest, _walk
 
 from oracle import (
     PUBLISHED_LEVEL_SIZES,
@@ -147,6 +151,22 @@ class TestFromGenerators:
         monkeypatch.setattr(core, "DEFAULT_MAX_CONDUCTOR", 1000)
         assert NumericalSemigroup.from_generators([3, 5, 7, 2001]) == gs(1, 2, 4)
 
+    def test_nothing_is_built_twice(self, monkeypatch):
+        """The result keeps the last pass's gap mask and minimal generators: no mask or span follows."""
+        calls = Counter()
+        for name in ("_spanning", "_bitmask"):
+            function = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda *args, _f=function, _n=name: calls.update([_n]) or _f(*args)
+            )
+        semigroup = NumericalSemigroup.from_generators([9, 3, 5, 7])
+        built = dict(calls)
+        assert semigroup.gap_mask == 0b10110
+        assert semigroup.multiplicity == 3
+        assert semigroup.minimal_generators == (3, 5, 7)
+        assert semigroup.describe()["generators"] == [3, 5, 7]
+        assert calls == built
+
 
 class TestOrdinary:
     def test_genus_zero(self):
@@ -177,6 +197,18 @@ class TestMembership:
     def test_negative_is_not_member(self):
         assert -1 not in gs()
         assert -5 not in gs(1, 3)
+
+    def test_search_matches_the_small_elements_to_genus_12(self):
+        """Membership searches the gaps, and no semigroup keeps a set of them."""
+        for _, gaps, _ in _walk(12):
+            semigroup = NumericalSemigroup._unchecked(gaps)
+            for n in range(-2, semigroup.conductor + 3):
+                expected = n > semigroup.conductor or n in semigroup.small_elements
+                assert (n in semigroup) == expected
+            both = semigroup.intersect(ordinary(1))
+            assert semigroup.multiplicity == semigroup.element(1)
+            for value in (*vars(semigroup).values(), *vars(both).values()):
+                assert not isinstance(value, (set, frozenset))
 
 
 class TestDerivedData:
@@ -319,3 +351,41 @@ class TestValueSemantics:
         assert trusted == gs(1, 2, 4) and hash(trusted) == hash(gs(1, 2, 4))
         assert trusted.minimal_generators == gs(1, 2, 4).minimal_generators
         assert NumericalSemigroup._unchecked(()) == gs()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: NumericalSemigroup.from_gaps([True]),
+            InvalidGap,
+            "gap values must be positive integers, got True",
+        ),
+        (
+            lambda: NumericalSemigroup((True, 2)),
+            InvalidGap,
+            "gaps must be strictly increasing positive integers, got (True, 2)",
+        ),
+        (
+            lambda: NumericalSemigroup.from_generators([True]),
+            InvalidGenerator,
+            "generators must be positive integers, got True",
+        ),
+        (lambda: is_kappa_sparse(gs(1), True), ValueError, "kappa must be an integer >= 1, got True"),
+        (
+            lambda: is_pure_kappa_sparse(gs(), True),
+            ValueError,
+            "kappa must be an integer >= 1, got True",
+        ),
+        (
+            lambda: EnumerationRequest(3, kappa_filter=True, mode="kappa_sparse"),
+            ValueError,
+            "kappa_filter must be a positive integer, got True",
+        ),
+    ],
+    ids=["gap", "direct-gap", "generator", "kappa", "pure-kappa", "kappa-filter"],
+)
+def test_bool_is_not_an_integer(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -15,7 +15,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsegroup import (
@@ -100,10 +100,30 @@ def test_member_run_matches_the_run_scan(semigroup):
         assert is_kappa_sparse_run(semigroup, kappa) == expected
 
 
+def assert_handed_over_data_is_recomputed(semigroup: NumericalSemigroup) -> None:
+    """``from_generators`` hands over its gap mask and minimal generators; the properties rebuild them."""
+    recomputed = NumericalSemigroup._unchecked(semigroup.gaps)
+    assert recomputed.minimal_generators == minimal_generators(semigroup.gaps)
+    assert semigroup.minimal_generators == recomputed.minimal_generators
+    assert semigroup.gap_mask == recomputed.gap_mask
+
+
 @EXAMPLES
 @given(semigroups())
 def test_minimal_generators_match_the_pair_scan(semigroup):
-    assert semigroup.minimal_generators == minimal_generators(semigroup.gaps)
+    """``semigroups()`` builds through ``from_generators``, so the property runs on a fresh copy."""
+    assert_handed_over_data_is_recomputed(semigroup)
+
+
+@EXAMPLES
+@given(generator_sets())
+@example([1])
+@example([2, 3])
+@example([3, 6, 5, 7])  # 6 = 3 + 3 is redundant
+@example([3, 5, 7, 100])  # 100 is above the conductor 5
+@example([11, 13])  # conductor 120: the window doubles from 26 up to 144
+def test_from_generators_hands_over_what_the_properties_recompute(generators):
+    assert_handed_over_data_is_recomputed(NumericalSemigroup.from_generators(generators))
 
 
 @EXAMPLES

@@ -1,19 +1,20 @@
 """Hostile CLI inputs that once ran for seconds to minutes, each under a subprocess timeout.
 
 Each run takes under half a second on a shared 2-core host with Python 3.11,
-apart from the near-cap gap line of the odd family, which takes about 1.3 s,
-most of it parsing 666666 gaps.  The ``info`` runs took 10 to 25 s when
-``minimal_generators`` scanned pairs and ``from_generators`` swept a byte
-array; the Arf runs took from two to more than ten minutes when the Arf test
-scanned all pairs of members.  The odd numbers in [m, 2m), many small
-generators, took 2.6 s as ``--generators`` at m = 33335 and minutes near the
-conductor cap before ``core.MAX_SPANNING_WORK`` refused them.  They are run
-as ``--generators`` at m = 40001, a list that nearly fills one command-line
-argument (128 KiB on Linux), and as a gap line near the conductor cap.  The
-timeout leaves 4x to 10x headroom, so a reintroduced quadratic path fails
-here instead of slowing the suite down.  The two ``enumerate`` runs at the
-default genus cap, the heaviest walks the command line does without
-``--cap``, take under half a second each.
+apart from the near-cap gap lines: the odd family's takes about 1.3 s, most
+of it parsing 666666 gaps, and each run on <2, 999999> about 0.6 s.  The
+``info`` runs took 10 to 25 s when ``minimal_generators`` scanned pairs and
+``from_generators`` swept a byte array; the Arf runs took from two to more
+than ten minutes when the Arf test scanned all pairs of members.  The odd
+numbers in [m, 2m), many small generators, took 2.6 s as ``--generators`` at
+m = 33335 and minutes near the conductor cap before
+``core.MAX_SPANNING_WORK`` refused them.  They are run as ``--generators`` at
+m = 40001, a list that nearly fills one command-line argument (128 KiB on
+Linux), and as a gap line near the conductor cap.  The timeout leaves 4x to
+10x headroom, so a reintroduced quadratic path fails here instead of slowing
+the suite down.  The two ``enumerate`` runs at the default genus cap, the
+heaviest walks the command line does without ``--cap``, take under half a
+second each.
 """
 
 from __future__ import annotations
@@ -147,6 +148,22 @@ def test_check_arf_on_the_hyperelliptic_line_at_conductor_1e5(tmp_path):
     record = json.loads(result.stdout)
     assert (record["predicate"], record["result"]) == ("arf", True)
     assert record["gaps"] == list(hyperelliptic.gaps)
+
+
+def test_arf_and_classify_on_the_hyperelliptic_line_near_the_conductor_cap(tmp_path):
+    """<2, 999999>: the Arf test makes 499999 membership tests, each a binary search of 499999 gaps.
+
+    About 0.6 s each; a membership test that shifted the gap mask took 6.6 s.
+    """
+    path = write_line(tmp_path, NumericalSemigroup(tuple(range(1, 999_998, 2))))
+    result = run_cli("check", "--arf", "--file", path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["result"] is True
+    result = run_cli("classify", "--file", path)
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert (record["figure_class"], record["arf"], record["hyperelliptic"]) == ("arf", True, True)
+    assert (record["genus"], record["conductor"]) == (499_999, 999_998)
 
 
 def test_enumerate_at_the_default_cap():

@@ -1,14 +1,19 @@
-"""How the package is run: the benchmark harness's smoke mode, and Python without asserts."""
+"""How the package is run: the benchmark's hooks and smoke mode, and Python without asserts."""
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
+
+import sparsegroup
+from sparsegroup import NumericalSemigroup, enumeration
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +23,47 @@ def run_python(*argv: str) -> subprocess.CompletedProcess[str]:
     return subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, check=False
     )
+
+
+def module_constant(path: Path, name: str):
+    """The literal value of a module-level assignment, read without importing the module."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
+        if name in targets:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_the_benchmark_hooks_exist():
+    """Every name the benchmark tracer wraps, with the kind it wraps, in well under a second."""
+    spans = (
+        *module_constant(ROOT / "perfbench" / "run.py", "LAYER_SPANS").items(),
+        *module_constant(ROOT / "perfbench" / "tracer.py", "EXTRA_SPANS").items(),
+    )
+    members = vars(NumericalSemigroup)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans
+        for name in names
+        if not hasattr(getattr(sparsegroup, layer), name) and name not in members
+    ]
+    missing += [
+        f"enumeration.{name}"
+        for name in module_constant(ROOT / "perfbench" / "tracer.py", "GENERATORS")
+        if not inspect.isgeneratorfunction(getattr(enumeration, name, None))
+    ]
+    assert missing == []
+    for name in ("small_elements", "minimal_generators", "gap_mask"):
+        assert isinstance(members[name], cached_property), name
+    for name in ("from_gaps", "from_generators"):
+        assert isinstance(members[name], classmethod), name
+    assert members["__and__"] is members["intersect"]
+    assert "__contains__" in members
+    parameters = inspect.signature(enumeration._walk).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == [
+        ("max_genus", inspect.Parameter.empty),
+        ("keep", None),
+    ]
 
 
 def test_benchmark_smoke_passes():

@@ -17,12 +17,7 @@ from .core import (
 )
 from .enumeration import DEFAULT_GENUS_CAP, CensusRow, EnumerationRequest, census, members
 from .ideals import is_arf_double
-from .kappa import (
-    classify,
-    is_kappa_sparse,
-    is_pure_kappa_sparse,
-    sparseness_report,
-)
+from .kappa import classify, is_kappa_sparse, is_pure_kappa_sparse
 from .leaps import is_hyperelliptic, is_sparse, leap_profile, leap_set
 from .verify import run_checks
 
@@ -123,21 +118,11 @@ def _cmd_leaps(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     def report(semigroup: NumericalSemigroup) -> str:
         result = classify(semigroup)
-        checks = sparseness_report(semigroup, result.sparseness_index)
         record = {
             "gaps": list(semigroup.gaps),
-            "genus": result.genus,
-            "conductor": result.conductor,
-            "frobenius": result.frobenius,
-            "multiplicity": result.multiplicity,
-            "hyperelliptic": result.hyperelliptic,
-            "arf": result.arf,
-            "sparse": result.sparse,
-            "sparseness_index": result.sparseness_index,
-            "figure_class": result.figure_class,
+            **vars(result),
             "profile": _profile_json(result.profile),
-            "pure_witness": list(checks.pure_witness) if checks.pure_witness else None,
-            "checks": checks.checks_dict(),
+            "checks": dict(result.checks),
         }
         return json.dumps(record)
 

@@ -65,6 +65,23 @@ def _bitmask(values: Iterable[int], width: int) -> int:
     return int(digits, 2)
 
 
+def _distinct_positive(values: Iterable[int], error: type[SemigroupError], what: str) -> set[int]:
+    """The distinct ``values``, all positive ``int``, or ``error`` naming the first that is not.
+
+    The type is checked in the order given, before the set can merge ``True``
+    into 1; the sign is checked in the set's order.
+    """
+    given = list(values)
+    for value in given:
+        if type(value) is not int:
+            raise error(f"{what} must be positive integers, got {value!r}")
+    collected = set(given)
+    for value in collected:
+        if value < 1:
+            raise error(f"{what} must be positive integers, got {value!r}")
+    return collected
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """Inverse of ``_bitmask``: the set bits of ``mask`` in ascending order."""
     digits = bin(mask)[:1:-1]  # the least significant digit first, without "0b"
@@ -173,17 +190,14 @@ class NumericalSemigroup:
     def from_gaps(cls, gaps: Iterable[int]) -> NumericalSemigroup:
         """Validated construction from an arbitrary collection of gap values.
 
-        Raises :class:`InvalidGap` for non-positive entries, :class:`LimitExceeded`
-        when the conductor would pass ``DEFAULT_MAX_CONDUCTOR``, before any
-        mask is built, and :class:`NotASemigroup` when the complement is not
-        additively closed.  The semigroup is built first and its own cached
-        ``gap_mask`` is the one the closure check reads.
+        Raises :class:`InvalidGap` for an entry that is not a positive ``int``,
+        :class:`LimitExceeded` when the conductor would pass
+        ``DEFAULT_MAX_CONDUCTOR``, before any mask is built, and
+        :class:`NotASemigroup` when the complement is not additively closed.
+        The semigroup is built first and its own cached ``gap_mask`` is the
+        one the closure check reads.
         """
-        collected = set(gaps)
-        for value in collected:
-            if type(value) is not int or value < 1:
-                raise InvalidGap(f"gap values must be positive integers, got {value!r}")
-        values = sorted(collected)
+        values = sorted(_distinct_positive(gaps, InvalidGap, "gap values"))
         if values and values[-1] >= DEFAULT_MAX_CONDUCTOR:
             raise LimitExceeded(
                 f"conductor {values[-1] + 1} exceeds the cap {DEFAULT_MAX_CONDUCTOR}"
@@ -207,15 +221,9 @@ class NumericalSemigroup:
         Its last pass yields exactly the minimal generators (all below c + min),
         kept with its gap mask as the result's ``minimal_generators`` and ``gap_mask``.
         """
-        collected = set(generators)
-        if not collected:
+        values = sorted(_distinct_positive(generators, InvalidGenerator, "generators"))
+        if not values:
             raise NotCofinite("an empty generating set spans only {0}")
-        for value in collected:
-            if type(value) is not int or value < 1:
-                raise InvalidGenerator(
-                    f"generators must be positive integers, got {value!r}"
-                )
-        values = sorted(collected)
         if math.gcd(*values) != 1:
             raise NotCofinite(
                 f"generators {values} have gcd {math.gcd(*values)}; complement is infinite"
@@ -339,6 +347,8 @@ class NumericalSemigroup:
 
 def ordinary(genus: int) -> NumericalSemigroup:
     """The semigroup {0} together with every integer above ``genus``."""
+    if type(genus) is not int:
+        raise ValueError(f"genus must be an integer, got {genus!r}")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
     return NumericalSemigroup(tuple(range(1, genus + 1)))

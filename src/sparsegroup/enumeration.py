@@ -110,6 +110,8 @@ class EnumerationRequest:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.emit not in EMITS:
             raise ValueError(f"emit must be one of {EMITS}, got {self.emit!r}")
+        if type(self.max_genus) is not int:
+            raise ValueError(f"max_genus must be an integer, got {self.max_genus!r}")
         if self.max_genus < 0:
             raise ValueError(f"max_genus must be non-negative, got {self.max_genus}")
         if self.kappa_filter is not None and (

@@ -129,26 +129,8 @@ def frobenius_identity_check(semigroup: NumericalSemigroup, kappa: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SparsenessReport:
-    """Sparseness index, a witnessing leap, and per-procedure results at a queried kappa."""
-
-    kappa_index: int
-    pure_witness: Leap | None
-    checks: tuple[tuple[str, bool], ...]
-
-    def checks_dict(self) -> dict[str, bool]:
-        return dict(self.checks)
-
-
-def sparseness_report(semigroup: NumericalSemigroup, kappa: int) -> SparsenessReport:
-    """Run every decision procedure applicable at ``kappa`` and report the index."""
-    _require_kappa(kappa, 1)
-    index = sparseness_index(semigroup)
-    gaps = semigroup.gaps
-    witness = next(
-        (Leap(lo, hi) for lo, hi in zip((-1,) + gaps, gaps) if hi - lo == index), None
-    )
+def sparseness_report(semigroup: NumericalSemigroup, kappa: int) -> tuple[tuple[str, bool], ...]:
+    """The (name, verdict) pairs of every kappa-sparse decider that applies at ``kappa``."""
     checks = [
         ("profile_sum", is_kappa_sparse_profile(semigroup, kappa)),
         ("gap_spacing", is_kappa_sparse_gapdiff(semigroup, kappa)),
@@ -156,12 +138,17 @@ def sparseness_report(semigroup: NumericalSemigroup, kappa: int) -> SparsenessRe
     if kappa >= 2:
         checks.append(("member_spacing", is_kappa_sparse_nongap(semigroup, kappa)))
         checks.append(("member_run", is_kappa_sparse_run(semigroup, kappa)))
-    return SparsenessReport(index, witness, tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Per-semigroup report of derived quantities and class memberships."""
+    """Per-semigroup report of derived quantities and class memberships.
+
+    ``pure_witness`` is the first leap whose jump is the sparseness index
+    (None for the full naturals), and ``checks`` holds the deciders' verdicts
+    at that index.  Fields run in the order ``classify`` prints them.
+    """
 
     genus: int
     conductor: int
@@ -171,8 +158,10 @@ class Classification:
     arf: bool
     sparse: bool
     sparseness_index: int
-    profile: LeapProfile
     figure_class: str
+    profile: LeapProfile
+    pure_witness: Leap | None
+    checks: tuple[tuple[str, bool], ...]
 
 
 def classify(semigroup: NumericalSemigroup) -> Classification:
@@ -197,6 +186,10 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
         label = "sparse"
     else:
         label = f"pure-{index}-sparse"
+    gaps = semigroup.gaps
+    witness = next(
+        (Leap(lo, hi) for lo, hi in zip((-1,) + gaps, gaps) if hi - lo == index), None
+    )
     return Classification(
         genus=genus,
         conductor=semigroup.conductor,
@@ -206,6 +199,8 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
         arf=arf,
         sparse=sparse,
         sparseness_index=index,
-        profile=profile,
         figure_class=label,
+        profile=profile,
+        pure_witness=witness,
+        checks=sparseness_report(semigroup, index),
     )

@@ -177,6 +177,42 @@ class TestClassify:
         assert record["figure_class"] == "trivial"
         assert record["pure_witness"] is None
 
+    @pytest.mark.parametrize(
+        "gaps, line",
+        [
+            (
+                "1,2,3,7",
+                '{"gaps": [1, 2, 3, 7], "genus": 4, "conductor": 8, "frobenius": 7, '
+                '"multiplicity": 4, "hyperelliptic": false, "arf": false, "sparse": false, '
+                '"sparseness_index": 4, "figure_class": "pure-4-sparse", '
+                '"profile": {"1": 2, "2": 1, "4": 1}, "pure_witness": [3, 7], '
+                '"checks": {"profile_sum": true, "gap_spacing": true, '
+                '"member_spacing": true, "member_run": true}}',
+            ),
+            (
+                "",
+                '{"gaps": [], "genus": 0, "conductor": 0, "frobenius": -1, '
+                '"multiplicity": 1, "hyperelliptic": true, "arf": true, "sparse": true, '
+                '"sparseness_index": 1, "figure_class": "trivial", '
+                '"profile": {}, "pure_witness": null, '
+                '"checks": {"profile_sum": true, "gap_spacing": true}}',
+            ),
+            (
+                "1,2,4",
+                '{"gaps": [1, 2, 4], "genus": 3, "conductor": 5, "frobenius": 4, '
+                '"multiplicity": 3, "hyperelliptic": false, "arf": true, "sparse": true, '
+                '"sparseness_index": 2, "figure_class": "arf", '
+                '"profile": {"1": 1, "2": 2}, "pure_witness": [-1, 1], '
+                '"checks": {"profile_sum": true, "gap_spacing": true, '
+                '"member_spacing": true, "member_run": true}}',
+            ),
+        ],
+        ids=["pure-4-sparse", "trivial", "arf"],
+    )
+    def test_exact_line(self, capsys, gaps, line):
+        """Key order and spacing, byte for byte: the classify line is a stable text format."""
+        assert run(capsys, "classify", "--gaps", gaps) == (0, line + "\n", "")
+
     def test_file_line_that_is_not_a_semigroup(self, capsys, tmp_path):
         path = tmp_path / "input.txt"
         path.write_text("1,2,3,7\n1,3,4\n1,2\n", encoding="utf-8")

@@ -15,8 +15,10 @@ from sparsegroup import (
     format_gap_line,
     is_kappa_sparse,
     is_pure_kappa_sparse,
+    enumerate_genus,
     ordinary,
     parse_gap_line,
+    run_checks,
 )
 from sparsegroup import core
 from sparsegroup.enumeration import EnumerationRequest, _walk
@@ -382,8 +384,37 @@ class TestValueSemantics:
             ValueError,
             "kappa_filter must be a positive integer, got True",
         ),
+        (
+            lambda: NumericalSemigroup.from_gaps([1, True]),
+            InvalidGap,
+            "gap values must be positive integers, got True",
+        ),
+        (
+            lambda: NumericalSemigroup.from_generators([1, True]),
+            InvalidGenerator,
+            "generators must be positive integers, got True",
+        ),
+        (lambda: next(enumerate_genus(True)), ValueError, "max_genus must be an integer, got True"),
+        (lambda: next(enumerate_genus(2.0)), ValueError, "max_genus must be an integer, got 2.0"),
+        (lambda: run_checks(True), ValueError, "max_genus must be an integer, got True"),
+        (lambda: ordinary(True), ValueError, "genus must be an integer, got True"),
+        (lambda: ordinary(2.0), ValueError, "genus must be an integer, got 2.0"),
     ],
-    ids=["gap", "direct-gap", "generator", "kappa", "pure-kappa", "kappa-filter"],
+    ids=[
+        "gap",
+        "direct-gap",
+        "generator",
+        "kappa",
+        "pure-kappa",
+        "kappa-filter",
+        "gap-after-its-equal",
+        "generator-after-its-equal",
+        "genus",
+        "float-genus",
+        "verify-genus",
+        "ordinary",
+        "float-ordinary",
+    ],
 )
 def test_bool_is_not_an_integer(call, error, message):
     with pytest.raises(error) as excinfo:

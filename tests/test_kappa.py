@@ -208,18 +208,21 @@ class TestReport:
         for g in range(6):
             for node in level(g):
                 for kappa in (1, 2, 3, node.genus + 2):
-                    report = sparseness_report(node, kappa)
-                    assert len({value for _, value in report.checks}) == 1
-                    assert report.kappa_index == sparseness_index(node)
-                    first = next(
-                        (leap for leap in leap_set(node) if leap.jump == report.kappa_index), None
-                    )
-                    assert report.pure_witness == first
-                    assert (first is None) == (node.genus == 0)
+                    checks = sparseness_report(node, kappa)
+                    assert len({value for _, value in checks}) == 1
+                result = classify(node)
+                assert result.sparseness_index == sparseness_index(node)
+                first = next(
+                    (leap for leap in leap_set(node) if leap.jump == result.sparseness_index), None
+                )
+                assert result.pure_witness == first
+                assert (first is None) == (node.genus == 0)
+                assert result.checks == sparseness_report(node, result.sparseness_index)
+                assert all(value for _, value in result.checks)
 
     def test_kappa_one_reports_two_checks(self):
-        report = sparseness_report(gs(1), 1)
-        assert [name for name, _ in report.checks] == ["profile_sum", "gap_spacing"]
+        checks = sparseness_report(gs(1), 1)
+        assert [name for name, _ in checks] == ["profile_sum", "gap_spacing"]
 
 
 class TestClassification:

@@ -146,3 +146,21 @@ def test_no_library_function_takes_a_conductor_cap():
         )
     ]
     assert found == []
+
+
+def test_package_root_exports_exactly_what_it_imports():
+    """``sparsegroup.__all__`` names each public non-module name ``__init__.py`` imports, once."""
+    tree = ast.parse((ROOT / "src" / "sparsegroup" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    public = sorted(
+        name
+        for name in imported
+        if not name.startswith("_") and not inspect.ismodule(getattr(sparsegroup, name))
+    )
+    assert sorted(sparsegroup.__all__) == public
+    assert [name for name in sparsegroup.__all__ if not hasattr(sparsegroup, name)] == []

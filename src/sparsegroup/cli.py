@@ -17,7 +17,7 @@ from .core import (
 )
 from .enumeration import DEFAULT_GENUS_CAP, CensusRow, EnumerationRequest, census, members
 from .ideals import is_arf_double
-from .kappa import classify, is_kappa_sparse, is_pure_kappa_sparse
+from .kappa import _require_kappa, classify, is_kappa_sparse, is_pure_kappa_sparse
 from .leaps import is_hyperelliptic, is_sparse, leap_profile, leap_set
 from .verify import run_checks
 
@@ -92,6 +92,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         name, predicate = "pure_kappa_sparse", lambda s: is_pure_kappa_sparse(s, args.pure)
     kappa = args.kappa if args.kappa is not None else args.pure
+    if kappa is not None:
+        _require_kappa(kappa, 1)  # before any input is read, so it holds for an empty file too
     results = []
 
     def report(semigroup: NumericalSemigroup) -> str:

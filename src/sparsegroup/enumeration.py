@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .core import NumericalSemigroup
-from .ideals import is_arf_double
 from .leaps import LeapProfile
 
 # The deepest genus the command line walks unless ``enumerate --cap`` says
@@ -127,17 +126,34 @@ class EnumerationRequest:
         return self.kappa_filter if self.kappa_filter is not None else 2
 
 
-def _universe(request: EnumerationRequest) -> Iterator[tuple[int, tuple[int, ...], int]]:
+def _arf_walk(max_genus: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """Every Arf semigroup of genus <= ``max_genus``, as ``_walk`` yields nodes and in its order.
+
+    S is Arf iff S = N or S = {0} + (m + T) with T Arf, m in T and m >= 2 (Rosales,
+    Garcia-Sanchez, Garcia-Garcia and Branco, J. Algebra 2004): gaps 1, ..., m - 1, then m
+    plus each gap of T.  Arf semigroups are sparse and 1 is a gap of each nontrivial one,
+    so the index is 2, or 1 at the root.  Preorder is lexicographic: ancestors are prefixes.
+    """
+    found = [()]
+    for gaps in found:  # extended as it is read, so each T is expanded once
+        for m in range(2, max_genus - len(gaps) + 2):
+            if m not in gaps:
+                found.append(tuple(range(1, m)) + tuple(m + x for x in gaps))
+    return [(len(gaps), gaps, 2 if gaps else 1) for gaps in sorted(found)]
+
+
+def _universe(request: EnumerationRequest) -> Iterable[tuple[int, tuple[int, ...], int]]:
     """The walk over the request's universe.
 
     Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
     of a member is a member and the kappa modes prune at the first non-member.
-    Arf semigroups are sparse (Munuera, Torres and Villanueva, 2009), so Arf
-    mode prunes at index > 2.  Pure and Arf members are picked from the walk.
+    Arf mode walks the Arf semigroups' own tree.  Pure members are picked from the walk.
     """
     if request.mode == "all":
         return _walk(request.max_genus)
-    bound = 2 if request.mode == "arf" else request.kappa
+    if request.mode == "arf":
+        return _arf_walk(request.max_genus)
+    bound = request.kappa
     return _walk(request.max_genus, keep=lambda index: index <= bound)
 
 
@@ -148,13 +164,9 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
     only the members handed out are built as objects.
     """
     pure = request.mode == "pure_kappa_sparse"
-    arf = request.mode == "arf"
     for depth, gaps, index in _universe(request):
-        if depth != request.max_genus or (pure and index != request.kappa):
-            continue
-        node = NumericalSemigroup._unchecked(gaps)
-        if not arf or is_arf_double(node):
-            yield node
+        if depth == request.max_genus and (not pure or index == request.kappa):
+            yield NumericalSemigroup._unchecked(gaps)
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -203,34 +215,30 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
 
     Nothing is recomputed from a node's gaps that its parent already knows.
     The walk carries the index.  A child's leaps are its parent's plus one,
-    so its leap counts are the parent's with one jump added.  Filling the
-    largest gap keeps a semigroup Arf (Rosales and Garcia-Sanchez, "Numerical
-    Semigroups", 2009), so only the root and the children of Arf nodes are tested.
+    so its leap counts are the parent's with one jump added.  The ``arf``
+    column is membership in ``_arf_walk``'s output.
     """
     kappa = request.kappa
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
     with_profiles = request.emit == "full"
     pure_only = request.mode == "pure_kappa_sparse"
-    arf_only = request.mode == "arf"
+    arf_gaps = {gaps for _, gaps, _ in _arf_walk(request.max_genus)}
     # The walk is preorder, so a node's parent is the last node yielded one
     # level up.  Slot d + 1 holds what the last node at depth d passes to its
     # children; slot 0 stands in for the root's parent.
-    arf_slots = [True] * (request.max_genus + 2)
     leap_slots: list[tuple[int, ...]] = [()] * (request.max_genus + 2)
     histograms: list[dict[tuple[int, ...], int]] = [{} for _ in rows]
     for depth, gaps, index in _universe(request):
-        arf = arf_slots[depth] and is_arf_double(NumericalSemigroup._unchecked(gaps))
-        arf_slots[depth + 1] = arf
         if with_profiles:
             counts = leap_slots[depth]
             if depth:
                 counts = _add_leap(counts, gaps[-1] - (gaps[-2] if depth > 1 else -1))
             leap_slots[depth + 1] = counts
-        if (arf_only and not arf) or (pure_only and index != kappa):
+        if pure_only and index != kappa:
             continue
         row = rows[depth]
         row.total += 1
-        if arf:
+        if gaps in arf_gaps:
             row.per_class["arf"] += 1
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
         if index <= 2:

@@ -18,6 +18,15 @@ PUBLISHED_LEVEL_SIZES = (
     22464, 37396, 62194, 103246,
 )
 
+# Numbers of Arf numerical semigroups of genus 0..30.  Two enumerators in
+# tests/test_enumeration.py reproduce them, the Arf recursion and the sparse
+# tree walk filtered by the triple condition; frozen so a regression in
+# either is caught.
+ARF_LEVEL_SIZES = (
+    1, 1, 2, 3, 4, 6, 8, 10, 13, 17, 21, 26, 31, 36, 47, 55, 62, 74, 87, 101, 116, 133, 152,
+    174, 196, 222, 251, 284, 317, 355, 393,
+)
+
 
 def closure_violation(gaps: tuple[int, ...]) -> tuple[int, int] | None:
     """The lexicographically first non-gaps x <= y whose sum is a gap, by scanning pairs.

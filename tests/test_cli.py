@@ -134,6 +134,18 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: kappa must be an integer >= 1, got 0\n"
 
+    @pytest.mark.parametrize("flag, value", [("--kappa", "0"), ("--pure", "-3")])
+    @pytest.mark.parametrize("text", ["", "1,2,4\n", "1,2,4\n1,3\n"], ids=["empty", "one", "two"])
+    def test_bad_kappa_is_refused_before_any_input_is_read(
+        self, capsys, tmp_path, flag, value, text
+    ):
+        """Kappa is checked first, so an empty file is refused as a one- or two-line file is."""
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", flag, value, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: kappa must be an integer >= 1, got {value}\n"
+
     def test_file_input_requires_all_lines_to_hold(self, capsys, tmp_path):
         path = tmp_path / "input.txt"
         path.write_text("1,2,3\n1,2,3,7\n", encoding="utf-8")

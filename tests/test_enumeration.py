@@ -14,7 +14,9 @@ from sparsegroup import (
     children,
     enumerate_genus,
     enumerate_kappa_sparse,
+    is_arf_definition,
     is_arf_double,
+    is_arf_stable,
     is_kappa_sparse,
     is_pure_kappa_sparse,
     is_sparse,
@@ -24,9 +26,9 @@ from sparsegroup import (
     sparseness_index,
 )
 from sparsegroup import enumeration
-from sparsegroup.enumeration import EMITS, MODES, _walk
+from sparsegroup.enumeration import EMITS, MODES, _arf_walk, _walk
 
-from oracle import KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
+from oracle import ARF_LEVEL_SIZES, KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -109,11 +111,43 @@ class TestWalk:
         assert tuple(sizes) == PUBLISHED_LEVEL_SIZES
 
 
+class TestArfWalk:
+    def test_equals_the_full_walk_filtered_by_the_independent_deciders(self):
+        """Node for node and in order to genus 15, against the triple condition and tail stability.
+
+        Neither decider uses the multiplicity recursion that ``_arf_walk`` runs forwards.
+        """
+        nodes = [(depth, NumericalSemigroup(gaps), index) for depth, gaps, index in _walk(15)]
+        for decider in (is_arf_definition, is_arf_stable):
+            filtered = [(depth, node.gaps, index) for depth, node, index in nodes if decider(node)]
+            assert _arf_walk(15) == filtered
+
+    def test_level_sizes_from_two_enumerators(self):
+        """The recursion, and the index-<= 2 walk filtered by the triple condition, to genus 30.
+
+        Filling the largest gap keeps a semigroup Arf, so the filter inherits a non-Arf
+        parent's verdict and tests only the root and the children of Arf nodes.
+        """
+        max_genus = len(ARF_LEVEL_SIZES) - 1
+        recursion = [0] * (max_genus + 1)
+        for depth, _, _ in _arf_walk(max_genus):
+            recursion[depth] += 1
+        filtered = [0] * (max_genus + 1)
+        verdicts = [True] * (max_genus + 2)
+        for depth, gaps, _ in _walk(max_genus, lambda index: index <= 2):
+            verdicts[depth + 1] = verdicts[depth] and is_arf_definition(NumericalSemigroup(gaps))
+            filtered[depth] += verdicts[depth + 1]
+        assert tuple(recursion) == tuple(filtered) == ARF_LEVEL_SIZES
+
+
 @functools.cache
 def reference_nodes(max_genus):
-    """Every node to ``max_genus`` by the reference walk, with its index, Arf verdict and profile."""
+    """Every node to ``max_genus`` by the reference walk, with its index, Arf verdict and profile.
+
+    The verdict is the triple condition, not the Arf-sequence test that ``_arf_walk`` runs forwards.
+    """
     return [
-        (depth, sparseness_index(node), is_arf_double(node), leap_profile(node))
+        (depth, sparseness_index(node), is_arf_definition(node), leap_profile(node))
         for depth, node in reference_walk(max_genus)
     ]
 
@@ -267,28 +301,18 @@ class TestCensus:
         assert [row.total for row in rows] == [1, 1, 2]
         assert all(row.per_class["sparse"] == row.total for row in rows)
 
-    def test_arf_mode_tests_arf_only_below_arf_parents(self, monkeypatch):
-        calls = []
-
-        def counted(semigroup):
-            calls.append(semigroup)
-            return is_arf_double(semigroup)
-
-        monkeypatch.setattr(enumeration, "is_arf_double", counted)
-        request = EnumerationRequest(max_genus=10, mode="arf", emit="count_only")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_arf_decider_runs_in_any_mode(self, monkeypatch, mode):
+        """The ``arf`` column and the Arf stream come from ``_arf_walk``, not from a decider."""
+        calls = _count_calls(monkeypatch, is_arf_double, is_arf_definition, is_arf_stable)
+        request = EnumerationRequest(max_genus=10, kappa_filter=3, mode=mode)
         rows = census(request)
-        # the root and every sparse child of an Arf node to genus 10, each once; the walk
-        # prunes at index > 2, so these are 93 of the 478 nodes
-        assert len(calls) == len(set(calls)) == 93
-        assert all(node.genus == 0 or is_arf_double(node.adjoin_frobenius()) for node in calls)
-        assert all(sparseness_index(node) <= 2 for node in calls)
-        assert sum(row.per_class["arf"] for row in rows) == sum(row.total for row in rows)
-
-    def test_arf_walk_visits_only_the_sparse_nodes(self):
-        """Arf semigroups are sparse, so the Arf walk to genus 18 keeps 1202 of 33282 nodes."""
-        walked = [gaps for _, gaps, _ in enumeration._universe(EnumerationRequest(18, mode="arf"))]
-        assert len(walked) == 1202
-        assert walked == [gaps for _, gaps, index in _walk(18) if index <= 2]
+        streamed = sum(1 for _ in enumeration.members(request))
+        assert calls == {}
+        assert streamed == rows[-1].total
+        # the Arf semigroups of genus <= 10, all of index <= 2, so none is pure 3-sparse
+        arf = sum(row.per_class["arf"] for row in rows)
+        assert arf == (0 if mode == "pure_kappa_sparse" else 86)
 
     @pytest.mark.parametrize("mode", ["kappa_sparse", "pure_kappa_sparse"])
     def test_kappa_modes_compute_no_leap_statistics_per_node(self, monkeypatch, mode):
@@ -302,7 +326,7 @@ class TestCensus:
     def test_arf_mode_filters_the_universe(self, level):
         rows = census(EnumerationRequest(max_genus=7, mode="arf"))
         for row in rows:
-            expected = sum(1 for node in level(row.genus) if is_arf_double(node))
+            expected = sum(1 for node in level(row.genus) if is_arf_stable(node))
             assert row.total == expected
             assert row.per_class["arf"] == row.total
             assert row.per_class["arf"] <= len(level(row.genus))

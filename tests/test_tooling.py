@@ -12,6 +12,8 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
+import pytest
+
 import sparsegroup
 from sparsegroup import NumericalSemigroup, enumeration
 
@@ -86,12 +88,28 @@ def test_pruned_census_matches_the_recorded_digest():
 def test_arf_census_matches_the_recorded_digest():
     """The Arf census to genus 18, byte for byte against the SHA-256 of the unpruned walk's output.
 
-    The Arf walk prunes at index > 2, which must lose no Arf member and change no count.
+    The census walks the Arf recursion and reads its ``arf`` column by lookup; neither may
+    lose an Arf member or change a count.
     """
     result = run_python("-m", "sparsegroup", "enumerate", "--census", "--arf", "--genus", "18")
     assert result.returncode == 0, result.stderr
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert digest == "cf544add5f8592f80eca0e96f7a7c3cce756483d15194cfdd1acadbd998db91c"
+
+
+@pytest.mark.parametrize(
+    "form, expected",
+    [
+        ("tsv", "7d01cd8a862a186331f54e81c63c44aa2811a2cd5ff8e356eb85d04519e4d807"),
+        ("json", "d04e3461a4093de63bf0b9cd1e0a97157e0717b998aeafd8842758e1fe97cb4c"),
+    ],
+)
+def test_arf_stream_matches_the_recorded_digest(form, expected):
+    """The genus-18 Arf stream in tree order, against the SHA-256 of the filtered walk's output."""
+    argv = ("enumerate", "--genus", "18", "--arf", "--format", form)
+    result = run_python("-m", "sparsegroup", *argv)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == expected
 
 
 def test_verify_sweep_matches_the_recorded_output():

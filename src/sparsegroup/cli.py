@@ -15,7 +15,14 @@ from .core import (
     format_gap_line,
     parse_gap_line,
 )
-from .enumeration import DEFAULT_GENUS_CAP, CensusRow, EnumerationRequest, census, members
+from .enumeration import (
+    DEFAULT_GENUS_CAP,
+    CensusRow,
+    EnumerationRequest,
+    census,
+    level_size,
+    members,
+)
 from .ideals import is_arf_double
 from .kappa import _require_kappa, classify, is_kappa_sparse, is_pure_kappa_sparse
 from .leaps import is_hyperelliptic, is_sparse, leap_profile, leap_set
@@ -185,11 +192,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             print(json.dumps(_census_rows_json(rows, with_profiles=request.emit == "full")))
         return 0
 
-    stream = members(request)
     if args.count_only:
-        print(sum(1 for _ in stream))
+        print(level_size(request))
         return 0
-    for semigroup in stream:
+    for semigroup in members(request):
         if args.format == "tsv":
             # gap-list text format, so the output feeds straight back into --file
             print(format_gap_line(semigroup))

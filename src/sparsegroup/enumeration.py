@@ -43,6 +43,23 @@ def _walk(
     is built.  ``keep`` prunes on the index: a node whose index fails it is
     skipped along with its whole subtree.  It is called on the root and on
     every candidate child, in descending order of the removed generator.
+    The loop is ``_tree``'s.
+    """
+    return _tree(max_genus, keep, False)
+
+
+def _tree(
+    max_genus: int,
+    keep: Callable[[int], bool] | None,
+    parents: bool,
+) -> Iterator[tuple]:
+    """The walk behind ``_walk``, or with ``parents`` the nodes one level above its deepest.
+
+    Without ``parents`` it yields what ``_walk`` yields.  With ``parents`` it
+    yields only at depth ``max_genus - 1`` and stacks nothing deeper: each
+    node there yields ``(index, frobenius, generators)``, its minimal
+    generators above F once updated.  Its children, one level down, are the
+    removals of those generators, so they can be counted unbuilt.
 
     A child that removes x from a node with Frobenius number F adds exactly
     one leap, (F, x), so its index is the larger of the node's and x - F.
@@ -63,11 +80,13 @@ def _walk(
         return
     width = 3 * max_genus
     everything = (1 << width + 1) - 1
+    last_parents = max_genus - 1 if parents else -1
     # depth, gaps, multiplicity, index, members, reversed members, generators above F
     stack = [(0, (), 1, 1, everything, everything, (1,))]
     while stack:
         depth, gaps, multiplicity, index, members, reversed_members, generators = stack.pop()
-        yield depth, gaps, index
+        if not parents:
+            yield depth, gaps, index
         if depth < max_genus:
             frobenius = gaps[-1] if gaps else -1
             if gaps:
@@ -81,6 +100,9 @@ def _walk(
                     sums = (members & reversed_members >> width - y) >> multiplicity + 1
                     if not sums & (1 << frobenius - multiplicity - 1) - 1:
                         generators += (y,)
+            if depth == last_parents:
+                yield index, frobenius, generators
+                continue
             for i in reversed(range(len(generators))):
                 x = generators[i]
                 child_index = index if index > x - frobenius else x - frobenius
@@ -142,19 +164,26 @@ def _arf_walk(max_genus: int) -> list[tuple[int, tuple[int, ...], int]]:
     return [(len(gaps), gaps, 2 if gaps else 1) for gaps in sorted(found)]
 
 
-def _universe(request: EnumerationRequest) -> Iterable[tuple[int, tuple[int, ...], int]]:
-    """The walk over the request's universe.
+def _keep(request: EnumerationRequest) -> Callable[[int], bool] | None:
+    """The request's pruning test on the index, for ``_walk``: none in ``all`` mode.
 
     Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
     of a member is a member and the kappa modes prune at the first non-member.
-    Arf mode walks the Arf semigroups' own tree.  Pure members are picked from the walk.
     """
     if request.mode == "all":
-        return _walk(request.max_genus)
+        return None
+    bound = request.kappa
+    return lambda index: index <= bound
+
+
+def _universe(request: EnumerationRequest) -> Iterable[tuple[int, tuple[int, ...], int]]:
+    """The walk over the request's universe.
+
+    Arf mode walks the Arf semigroups' own tree.  Pure members are picked from the walk.
+    """
     if request.mode == "arf":
         return _arf_walk(request.max_genus)
-    bound = request.kappa
-    return _walk(request.max_genus, keep=lambda index: index <= bound)
+    return _walk(request.max_genus, _keep(request))
 
 
 def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
@@ -167,6 +196,32 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
     for depth, gaps, index in _universe(request):
         if depth == request.max_genus and (not pure or index == request.kappa):
             yield NumericalSemigroup._unchecked(gaps)
+
+
+def level_size(request: EnumerationRequest) -> int:
+    """How many members ``members(request)`` yields, counted without building any.
+
+    The walk stops one level early: a node at depth ``max_genus - 1`` has a
+    child per minimal generator x > F, of index max(index, x - F), so it
+    counts the children that the walk would keep and ``members`` would pick.
+    Arf mode counts the deepest entries of ``_arf_walk``.
+    """
+    genus = request.max_genus
+    if request.mode == "arf":
+        return sum(depth == genus for depth, _, _ in _arf_walk(genus))
+    keep = _keep(request)
+    kappa = request.kappa
+    counted = (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
+    if genus == 0:
+        return int(counted is None or counted(1))
+    parents = _tree(genus, keep, True)
+    if counted is None:
+        return sum(len(generators) for _, _, generators in parents)
+    return sum(
+        counted(index if index > x - frobenius else x - frobenius)
+        for index, frobenius, generators in parents
+        for x in generators
+    )
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:

@@ -10,12 +10,14 @@ from itertools import combinations
 # regression in either the oracle or the tree enumerator is caught.
 KNOWN_LEVEL_SIZES = (1, 1, 2, 4, 7, 12, 23, 39)
 
-# Published numbers of numerical semigroups of genus 0..22: OEIS A007323, and
+# Published numbers of numerical semigroups of genus 0..24: OEIS A007323, and
 # Bras-Amoros, "Fibonacci-like behavior of the number of numerical semigroups
 # of a given genus", Semigroup Forum 2008.  Independent of any code here.
+# The full tree walk and the count from the parents of the last level both
+# reproduce every value, 23 and 24 included.
 PUBLISHED_LEVEL_SIZES = (
     1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467,
-    22464, 37396, 62194, 103246,
+    22464, 37396, 62194, 103246, 170963, 282828,
 )
 
 # Numbers of Arf numerical semigroups of genus 0..30.  Two enumerators in

@@ -259,6 +259,34 @@ class TestEnumerate:
         assert code == 0
         assert out.strip() == "39"
 
+    @pytest.mark.parametrize(
+        "flags, mode, kappa",
+        [
+            ((), "all", None),
+            (("--arf",), "arf", None),
+            (("--kappa", "1"), "kappa_sparse", 1),
+            (("--kappa", "3"), "kappa_sparse", 3),
+            (("--kappa", "1", "--pure"), "pure_kappa_sparse", 1),
+            (("--kappa", "3", "--pure"), "pure_kappa_sparse", 3),
+            (("--kappa", "5", "--pure"), "pure_kappa_sparse", 5),
+        ],
+        ids=["all", "arf", "kappa1", "kappa3", "kappa1-pure", "kappa3-pure", "kappa5-pure"],
+    )
+    def test_count_only_prints_the_streamed_count_and_builds_no_semigroup(
+        self, capsys, monkeypatch, flags, mode, kappa
+    ):
+        """Byte for byte what counting the member stream printed; kappa 5 is above every index at genus 0..2."""
+        for genus in (0, 1, 2, 9, 14):
+            request = enumeration.EnumerationRequest(genus, kappa_filter=kappa, mode=mode)
+            streamed = f"{sum(1 for _ in enumeration.members(request))}\n"
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "NumericalSemigroup", None)
+                assert run(capsys, "enumerate", "--genus", str(genus), "--count-only", *flags) == (
+                    0,
+                    streamed,
+                    "",
+                ), genus
+
     def test_kappa_filter(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--genus", "4", "--kappa", "2", "--count-only")
         assert code == 0

@@ -21,12 +21,13 @@ from sparsegroup import (
     is_pure_kappa_sparse,
     is_sparse,
     leap_profile,
+    level_size,
     max_leap_jump,
     ordinary,
     sparseness_index,
 )
 from sparsegroup import enumeration
-from sparsegroup.enumeration import EMITS, MODES, _arf_walk, _walk
+from sparsegroup.enumeration import EMITS, MODES, _arf_walk, _walk, members
 
 from oracle import ARF_LEVEL_SIZES, KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
 
@@ -105,10 +106,15 @@ class TestWalk:
             assert seen == expected
 
     def test_published_level_sizes(self):
-        sizes = [0] * len(PUBLISHED_LEVEL_SIZES)
-        for depth, _, _ in _walk(len(PUBLISHED_LEVEL_SIZES) - 1):
+        """The walk to genus 22, and ``level_size`` to 22 against it and to 24 against the table."""
+        walked = 22
+        sizes = [0] * (walked + 1)
+        for depth, _, _ in _walk(walked):
             sizes[depth] += 1
-        assert tuple(sizes) == PUBLISHED_LEVEL_SIZES
+        assert tuple(sizes) == PUBLISHED_LEVEL_SIZES[: walked + 1]
+        counted = [level_size(EnumerationRequest(g)) for g in range(len(PUBLISHED_LEVEL_SIZES))]
+        assert counted[: walked + 1] == sizes
+        assert tuple(counted) == PUBLISHED_LEVEL_SIZES
 
 
 class TestArfWalk:
@@ -218,6 +224,24 @@ class TestEnumerateGenus:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             next(enumerate_genus(-1))
+
+
+class TestLevelSize:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_the_member_stream(self, mode):
+        """Genus 0..14 and kappa 1..5, which ``all`` and ``arf`` ignore; kappa 1 keeps only the root."""
+        for genus in range(15):
+            for kappa in range(1, 6):
+                request = EnumerationRequest(genus, kappa_filter=kappa, mode=mode)
+                assert level_size(request) == sum(1 for _ in members(request)), (genus, kappa)
+
+    def test_pure_kappa_above_every_index_is_empty(self):
+        for genus in range(15):
+            top = max(index for depth, _, index in _walk(genus) if depth == genus)
+            for kappa, nonempty in ((top, True), (top + 1, False)):
+                request = EnumerationRequest(genus, kappa_filter=kappa, mode="pure_kappa_sparse")
+                streamed = sum(1 for _ in members(request))
+                assert level_size(request) == streamed and (streamed > 0) == nonempty, genus
 
 
 class TestEnumerateKappaSparse:

@@ -1,8 +1,9 @@
 """Hostile CLI inputs that once ran for seconds to minutes, each under a subprocess timeout.
 
-Each run takes under half a second on a shared 2-core host with Python 3.11,
-apart from the near-cap gap lines: the odd family's takes about 1.3 s, most
-of it parsing 666666 gaps, and each run on <2, 999999> about 0.6 s.  The
+Most runs take under a second on a shared 2-core host with Python 3.11,
+apart from the near-cap gap lines: the odd family's takes about 1.6 s, most
+of it parsing 666666 gaps, and on <2, 999999> ``check --arf`` takes about
+1.4 s and ``classify`` 1.6 to 2.1 s (three CLI runs each).  The
 ``info`` runs took 10 to 25 s when ``minimal_generators`` scanned pairs and
 ``from_generators`` swept a byte array; the Arf runs took from two to more
 than ten minutes when the Arf test scanned all pairs of members.  The odd
@@ -10,11 +11,13 @@ numbers in [m, 2m), many small generators, took 2.6 s as ``--generators`` at
 m = 33335 and minutes near the conductor cap before
 ``core.MAX_SPANNING_WORK`` refused them.  They are run as ``--generators`` at
 m = 40001, a list that nearly fills one command-line argument (128 KiB on
-Linux), and as a gap line near the conductor cap.  The timeout leaves 4x to
-10x headroom, so a reintroduced quadratic path fails here instead of slowing
-the suite down.  The two ``enumerate`` runs at the default genus cap, the
+Linux), and as a gap line near the conductor cap.  The timeout leaves about
+2.5x headroom on the slowest run, ``classify`` near the cap, and more on the
+rest, so a reintroduced quadratic path fails here instead of slowing the
+suite down.  The two ``enumerate`` runs at the default genus cap, the
 heaviest walks the command line does without ``--cap``, take under half a
-second each.
+second each.  The count at genus 22 takes about 0.4 s, since it counts the
+last level from its parents; walking that level took about 0.6 s.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ def test_check_arf_on_the_hyperelliptic_line_at_conductor_1e5(tmp_path):
 def test_arf_and_classify_on_the_hyperelliptic_line_near_the_conductor_cap(tmp_path):
     """<2, 999999>: the Arf test makes 499999 membership tests, each a binary search of 499999 gaps.
 
-    About 0.6 s each; a membership test that shifted the gap mask took 6.6 s.
+    About 1.4 s and 1.6 to 2.1 s; a membership test that shifted the gap mask took 6.6 s.
     """
     path = write_line(tmp_path, NumericalSemigroup(tuple(range(1, 999_998, 2))))
     result = run_cli("check", "--arf", "--file", path)
@@ -181,3 +184,10 @@ def test_census_at_the_default_cap():
     rows = json.loads(result.stdout)
     assert [row["total"] for row in rows] == list(PUBLISHED_LEVEL_SIZES[: DEFAULT_GENUS_CAP + 1])
     assert all(sum(p["count"] for p in row["profiles"]) == row["total"] for row in rows)
+
+
+def test_count_at_genus_22():
+    """The 103246 semigroups of genus 22, counted from the 62194 nodes one level up, not walked."""
+    result = run_cli("enumerate", "--genus", "22", "--count-only", "--cap", "22")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{PUBLISHED_LEVEL_SIZES[22]}\n" == "103246\n"

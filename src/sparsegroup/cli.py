@@ -26,7 +26,6 @@ from .enumeration import (
 from .ideals import is_arf_double
 from .kappa import _require_kappa, classify, is_kappa_sparse, is_pure_kappa_sparse
 from .leaps import is_hyperelliptic, is_sparse, leap_profile, leap_set
-from .verify import run_checks
 
 CENSUS_COLUMNS = ("genus", "total", "arf", "sparse", "kappa_sparse", "pure_kappa_sparse")
 
@@ -205,6 +204,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks  # here, so the other commands never load it
     _check_genus_cap(args.max_genus, DEFAULT_GENUS_CAP)
     results = run_checks(args.max_genus)
     failed = 0

@@ -149,8 +149,8 @@ class NumericalSemigroup:
 
     The strictly increasing gap tuple is the canonical form: equality and
     hashing are structural.  Membership searches it; derived data are cached.
-    The direct constructor trusts its input apart from cheap shape checks;
-    ``from_gaps`` and ``from_generators`` are the validating entry points.
+    The direct constructor and ``from_gaps`` run the same ``_check_closed``;
+    ``_unchecked`` is the one construction that validates nothing.
     """
 
     gaps: tuple[int, ...]
@@ -165,22 +165,28 @@ class NumericalSemigroup:
                     f"gaps must be strictly increasing positive integers, got {self.gaps!r}"
                 )
             previous = gap
+        self._check_closed()
+
+    def _check_closed(self) -> None:
+        """Refuse a conductor above the cap, before any mask is built, or a non-closed complement.
+
+        Raises :class:`LimitExceeded`, or :class:`NotASemigroup` as read off ``gap_mask``.
+        """
+        if self.conductor > DEFAULT_MAX_CONDUCTOR:
+            raise LimitExceeded(f"conductor {self.conductor} exceeds the cap {DEFAULT_MAX_CONDUCTOR}")
+        violation = _closure_violation(self.gap_mask) if self.gaps else None
+        if violation is not None:
+            x, y = violation
+            raise NotASemigroup(f"{x} and {y} are non-gaps but their sum {x + y} is a gap")
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def _unchecked(cls, gaps: tuple[int, ...]) -> NumericalSemigroup:
-        """Construction without the ``__post_init__`` scan, for gaps valid by construction.
+        """Construction without validation, for gaps from a semigroup or formula already trusted.
 
-        For gap tuples already known to be strictly increasing positive
-        integers: the tree walk's; ``from_gaps``'s own once it has checked,
-        sorted and deduplicated the values, before it checks closure on the
-        result's ``gap_mask``; ``from_generators``', read off its span;
-        ``intersect``'s sorted union of two gap sets; and ``adjoin_frobenius``'s
-        prefix of the gaps.  The tests check the walk against ``children()``,
-        and ``verify`` revalidates every node it builds this way with
-        ``from_gaps``.
+        ``verify`` revalidates every tree-walk node built this way with ``from_gaps``.
         """
         semigroup = object.__new__(cls)
         object.__setattr__(semigroup, "gaps", gaps)
@@ -191,22 +197,11 @@ class NumericalSemigroup:
         """Validated construction from an arbitrary collection of gap values.
 
         Raises :class:`InvalidGap` for an entry that is not a positive ``int``,
-        :class:`LimitExceeded` when the conductor would pass
-        ``DEFAULT_MAX_CONDUCTOR``, before any mask is built, and
-        :class:`NotASemigroup` when the complement is not additively closed.
-        The semigroup is built first and its own cached ``gap_mask`` is the
-        one the closure check reads.
+        then sorts and deduplicates, then runs ``_check_closed``.
         """
         values = sorted(_distinct_positive(gaps, InvalidGap, "gap values"))
-        if values and values[-1] >= DEFAULT_MAX_CONDUCTOR:
-            raise LimitExceeded(
-                f"conductor {values[-1] + 1} exceeds the cap {DEFAULT_MAX_CONDUCTOR}"
-            )
         semigroup = cls._unchecked(tuple(values))
-        violation = _closure_violation(semigroup.gap_mask) if values else None
-        if violation is not None:
-            x, y = violation
-            raise NotASemigroup(f"{x} and {y} are non-gaps but their sum {x + y} is a gap")
+        semigroup._check_closed()
         return semigroup
 
     @classmethod
@@ -274,9 +269,8 @@ class NumericalSemigroup:
 
     @cached_property
     def small_elements(self) -> tuple[int, ...]:
-        """Members from 0 up to and including the conductor, read off a transient gap set."""
-        gapset = set(self.gaps)
-        return tuple(n for n in range(self.conductor + 1) if n not in gapset)
+        """Members from 0 up to and including the conductor, read off ``gap_mask``."""
+        return _bits(((2 << self.conductor) - 1) & ~self.gap_mask)
 
     @cached_property
     def multiplicity(self) -> int:
@@ -351,7 +345,7 @@ def ordinary(genus: int) -> NumericalSemigroup:
         raise ValueError(f"genus must be an integer, got {genus!r}")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
-    return NumericalSemigroup(tuple(range(1, genus + 1)))
+    return NumericalSemigroup._unchecked(tuple(range(1, genus + 1)))
 
 
 def parse_gap_line(line: str) -> NumericalSemigroup:

@@ -26,7 +26,7 @@ def children(semigroup: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
     """
     frobenius = semigroup.frobenius
     return tuple(
-        NumericalSemigroup(semigroup.gaps + (x,))
+        NumericalSemigroup._unchecked(semigroup.gaps + (x,))
         for x in semigroup.minimal_generators
         if x > frobenius
     )
@@ -165,15 +165,21 @@ def _arf_walk(max_genus: int) -> list[tuple[int, tuple[int, ...], int]]:
 
 
 def _keep(request: EnumerationRequest) -> Callable[[int], bool] | None:
-    """The request's pruning test on the index, for ``_walk``: none in ``all`` mode.
+    """The request's pruning test on the index, for ``_walk``: none outside the kappa modes.
 
     Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
     of a member is a member and the kappa modes prune at the first non-member.
     """
-    if request.mode == "all":
+    if request.mode in ("all", "arf"):
         return None
     bound = request.kappa
     return lambda index: index <= bound
+
+
+def _counted(request: EnumerationRequest) -> Callable[[int], bool] | None:
+    """The request's member test on a walked node's index: ``== kappa`` if pure, else ``_keep``."""
+    kappa = request.kappa
+    return (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else _keep(request)
 
 
 def _universe(request: EnumerationRequest) -> Iterable[tuple[int, tuple[int, ...], int]]:
@@ -209,12 +215,10 @@ def level_size(request: EnumerationRequest) -> int:
     genus = request.max_genus
     if request.mode == "arf":
         return sum(depth == genus for depth, _, _ in _arf_walk(genus))
-    keep = _keep(request)
-    kappa = request.kappa
-    counted = (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
+    counted = _counted(request)
     if genus == 0:
         return int(counted is None or counted(1))
-    parents = _tree(genus, keep, True)
+    parents = _tree(genus, _keep(request), True)
     if counted is None:
         return sum(len(generators) for _, _, generators in parents)
     return sum(
@@ -271,19 +275,24 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     Nothing is recomputed from a node's gaps that its parent already knows.
     The walk carries the index.  A child's leaps are its parent's plus one,
     so its leap counts are the parent's with one jump added.  The ``arf``
-    column is membership in ``_arf_walk``'s output.
+    column counts, per depth, the entries of ``_arf_walk`` whose index (2,
+    or 1 at the root) passes the request's member test.
     """
     kappa = request.kappa
     rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
     with_profiles = request.emit == "full"
     pure_only = request.mode == "pure_kappa_sparse"
-    arf_gaps = {gaps for _, gaps, _ in _arf_walk(request.max_genus)}
+    arf_nodes = _arf_walk(request.max_genus)
+    counted = _counted(request)
+    for depth, _, index in arf_nodes:
+        if counted is None or counted(index):
+            rows[depth].per_class["arf"] += 1
     # The walk is preorder, so a node's parent is the last node yielded one
     # level up.  Slot d + 1 holds what the last node at depth d passes to its
     # children; slot 0 stands in for the root's parent.
     leap_slots: list[tuple[int, ...]] = [()] * (request.max_genus + 2)
     histograms: list[dict[tuple[int, ...], int]] = [{} for _ in rows]
-    for depth, gaps, index in _universe(request):
+    for depth, gaps, index in arf_nodes if request.mode == "arf" else _universe(request):
         if with_profiles:
             counts = leap_slots[depth]
             if depth:
@@ -293,8 +302,6 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
             continue
         row = rows[depth]
         row.total += 1
-        if gaps in arf_gaps:
-            row.per_class["arf"] += 1
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
         if index <= 2:
             row.per_class["sparse"] += 1

@@ -108,7 +108,7 @@ def example_family(a: int, kappa: int) -> NumericalSemigroup:
     if type(kappa) is not int or type(a) is not int or kappa < 3 or a < kappa:
         raise InvalidParameters(f"need kappa >= 3 and a >= kappa, got a={a!r}, kappa={kappa!r}")
     gaps = tuple(range(1, a)) + tuple(range(a + kappa - 1, 2 * a))
-    return NumericalSemigroup(gaps)
+    return NumericalSemigroup._unchecked(gaps)
 
 
 def frobenius_identity_check(semigroup: NumericalSemigroup, kappa: int) -> bool:

@@ -11,6 +11,7 @@ from sparsegroup import (
     NotASemigroup,
     NotCofinite,
     NumericalSemigroup,
+    SemigroupError,
     TrivialSemigroup,
     format_gap_line,
     is_kappa_sparse,
@@ -18,10 +19,10 @@ from sparsegroup import (
     enumerate_genus,
     ordinary,
     parse_gap_line,
-    run_checks,
 )
 from sparsegroup import core
 from sparsegroup.enumeration import EnumerationRequest, _walk
+from sparsegroup.verify import run_checks
 
 from oracle import (
     PUBLISHED_LEVEL_SIZES,
@@ -87,6 +88,7 @@ class TestFromGaps:
         assert semigroup.gap_mask == 0b100110110
         assert semigroup.multiplicity == 3
         assert semigroup.minimal_generators == (3, 7, 11)
+        assert semigroup.small_elements == (0, 3, 6, 7, 9)
         assert len(masks) == 1
 
     def test_the_cap_is_checked_before_any_mask_is_built(self, monkeypatch):
@@ -94,8 +96,9 @@ class TestFromGaps:
             raise AssertionError("a mask was built for a gap above the cap")
 
         monkeypatch.setattr(core, "_bitmask", refuse)
-        with pytest.raises(LimitExceeded, match="conductor 1000000001 exceeds the cap 1000000"):
-            NumericalSemigroup.from_gaps([1, 10**9])
+        for build in (NumericalSemigroup.from_gaps, NumericalSemigroup):
+            with pytest.raises(LimitExceeded, match="conductor 1000000001 exceeds the cap 1000000"):
+                build((1, 10**9))
 
     def test_input_order_and_duplicates_are_normalised(self):
         assert NumericalSemigroup.from_gaps([4, 1, 2, 2]) == gs(1, 2, 4)
@@ -107,6 +110,20 @@ class TestFromGaps:
             NumericalSemigroup((3, 1))
         with pytest.raises(InvalidGap):
             NumericalSemigroup((0, 1))
+
+    def test_direct_constructor_checks_as_from_gaps_does(self):
+        """Every strictly increasing tuple over [1, 10]: the same value, or the same error."""
+        with pytest.raises(NotASemigroup, match="^1 and 1 are non-gaps but their sum 2 is a gap$"):
+            NumericalSemigroup((2,))
+        for bits in range(1 << 10):
+            gaps = tuple(n for n in range(1, 11) if bits >> (n - 1) & 1)
+            outcomes = []
+            for build in (NumericalSemigroup, NumericalSemigroup.from_gaps):
+                try:
+                    outcomes.append(build(gaps))
+                except SemigroupError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], gaps
 
 
 class TestFromGenerators:

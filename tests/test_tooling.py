@@ -88,8 +88,8 @@ def test_pruned_census_matches_the_recorded_digest():
 def test_arf_census_matches_the_recorded_digest():
     """The Arf census to genus 18, byte for byte against the SHA-256 of the unpruned walk's output.
 
-    The census walks the Arf recursion and reads its ``arf`` column by lookup; neither may
-    lose an Arf member or change a count.
+    The census walks the Arf recursion and counts its ``arf`` column off that walk; neither
+    may lose an Arf member or change a count.
     """
     result = run_python("-m", "sparsegroup", "enumerate", "--census", "--arf", "--genus", "18")
     assert result.returncode == 0, result.stderr
@@ -182,3 +182,21 @@ def test_package_root_exports_exactly_what_it_imports():
     )
     assert sorted(sparsegroup.__all__) == public
     assert [name for name in sparsegroup.__all__ if not hasattr(sparsegroup, name)] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-c", "import sparsegroup.cli"), ("-m", "sparsegroup", "info", "--gaps", "")],
+    ids=["import-cli", "info"],
+)
+def test_only_the_verify_command_loads_the_verify_module(argv):
+    """``-X importtime`` lists every module a run imports; ``sparsegroup.verify`` is not one."""
+    result = run_python("-X", "importtime", *argv)
+    assert result.returncode == 0, result.stderr
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "sparsegroup.cli" in imported
+    assert "sparsegroup.verify" not in imported

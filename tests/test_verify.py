@@ -4,8 +4,9 @@ import pytest
 
 import sparsegroup.leaps
 import sparsegroup.verify
-from sparsegroup import CheckResult, enumerate_genus, run_checks
+from sparsegroup import enumerate_genus
 from sparsegroup.cli import main
+from sparsegroup.verify import CheckResult, run_checks
 
 # Every family, in run order, with its instance count over the census to genus 6.
 GENUS_SIX_INSTANCES = {

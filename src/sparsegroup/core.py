@@ -82,6 +82,12 @@ def _distinct_positive(values: Iterable[int], error: type[SemigroupError], what:
     return collected
 
 
+def _check_conductor(conductor: int) -> None:
+    """Refuse a conductor above ``DEFAULT_MAX_CONDUCTOR``, before anything of its size is built."""
+    if conductor > DEFAULT_MAX_CONDUCTOR:
+        raise LimitExceeded(f"conductor {conductor} exceeds the cap {DEFAULT_MAX_CONDUCTOR}")
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """Inverse of ``_bitmask``: the set bits of ``mask`` in ascending order."""
     digits = bin(mask)[:1:-1]  # the least significant digit first, without "0b"
@@ -172,8 +178,7 @@ class NumericalSemigroup:
 
         Raises :class:`LimitExceeded`, or :class:`NotASemigroup` as read off ``gap_mask``.
         """
-        if self.conductor > DEFAULT_MAX_CONDUCTOR:
-            raise LimitExceeded(f"conductor {self.conductor} exceeds the cap {DEFAULT_MAX_CONDUCTOR}")
+        _check_conductor(self.conductor)
         violation = _closure_violation(self.gap_mask) if self.gaps else None
         if violation is not None:
             x, y = violation
@@ -288,8 +293,10 @@ class NumericalSemigroup:
         return self.conductor + (k - len(small) + 1)
 
     def __contains__(self, n: int) -> bool:
-        """Binary search of the gap tuple: O(log genus), with no state of its own."""
-        return n >= 0 and (n >= self.conductor or self.gaps[bisect_left(self.gaps, n)] != n)
+        """Binary search of the gaps, O(log genus); only an ``int``, not a ``bool``, is a member."""
+        if type(n) is not int or n < 0:
+            return False
+        return n >= self.conductor or self.gaps[bisect_left(self.gaps, n)] != n
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -345,6 +352,7 @@ def ordinary(genus: int) -> NumericalSemigroup:
         raise ValueError(f"genus must be an integer, got {genus!r}")
     if genus < 0:
         raise ValueError(f"genus must be non-negative, got {genus}")
+    _check_conductor(genus + 1)
     return NumericalSemigroup._unchecked(tuple(range(1, genus + 1)))
 
 

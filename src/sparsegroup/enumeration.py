@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import NumericalSemigroup
 from .leaps import LeapProfile
@@ -198,9 +199,9 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
     The class test runs only at that genus, never on the nodes above it, and
     only the members handed out are built as objects.
     """
-    pure = request.mode == "pure_kappa_sparse"
+    counted = _counted(request)
     for depth, gaps, index in _universe(request):
-        if depth == request.max_genus and (not pure or index == request.kappa):
+        if depth == request.max_genus and (counted is None or counted(index)):
             yield NumericalSemigroup._unchecked(gaps)
 
 
@@ -246,16 +247,9 @@ class CensusRow:
     """Counts for a single genus level."""
 
     genus: int
-    total: int = 0
-    per_class: dict[str, int] = field(
-        default_factory=lambda: {
-            "arf": 0,
-            "sparse": 0,
-            "kappa_sparse": 0,
-            "pure_kappa_sparse": 0,
-        }
-    )
-    profile_histogram: dict[LeapProfile, int] = field(default_factory=dict)
+    total: int
+    per_class: dict[str, int]
+    profile_histogram: dict[LeapProfile, int]
 
 
 def _add_leap(counts: tuple[int, ...], jump: int) -> tuple[int, ...]:
@@ -272,49 +266,45 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     class, its pure part, or the Arf members); class columns are evaluated
     inside that universe.  Output is deterministic across runs.
 
-    Nothing is recomputed from a node's gaps that its parent already knows.
-    The walk carries the index.  A child's leaps are its parent's plus one,
-    so its leap counts are the parent's with one jump added.  The ``arf``
-    column counts, per depth, the entries of ``_arf_walk`` whose index (2,
-    or 1 at the root) passes the request's member test.
+    Each walked node adds one to its depth's tally, keyed by its leap counts
+    if profiles are emitted, else by its index.  A child's counts are its
+    parent's with one jump added; their last position is the largest jump,
+    the index (1 at the root, whose counts are empty).  Every column depends
+    on the key alone, so the member test ``_counted`` and the class tests run
+    once per distinct key, as each row is built after the walk.  The ``arf``
+    column counts the ``_arf_walk`` entries that pass the member test.
     """
-    kappa = request.kappa
-    rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
-    with_profiles = request.emit == "full"
-    pure_only = request.mode == "pure_kappa_sparse"
-    arf_nodes = _arf_walk(request.max_genus)
     counted = _counted(request)
-    for depth, _, index in arf_nodes:
-        if counted is None or counted(index):
-            rows[depth].per_class["arf"] += 1
+    with_profiles = request.emit == "full"
+    arf_nodes = _arf_walk(request.max_genus)
+    arf = Counter(depth for depth, _, index in arf_nodes if counted is None or counted(index))
     # The walk is preorder, so a node's parent is the last node yielded one
     # level up.  Slot d + 1 holds what the last node at depth d passes to its
     # children; slot 0 stands in for the root's parent.
     leap_slots: list[tuple[int, ...]] = [()] * (request.max_genus + 2)
-    histograms: list[dict[tuple[int, ...], int]] = [{} for _ in rows]
-    for depth, gaps, index in arf_nodes if request.mode == "arf" else _universe(request):
+    tallies: list[dict] = [{} for _ in range(request.max_genus + 1)]
+    for depth, gaps, key in arf_nodes if request.mode == "arf" else _universe(request):
         if with_profiles:
-            counts = leap_slots[depth]
+            key = leap_slots[depth]
             if depth:
-                counts = _add_leap(counts, gaps[-1] - (gaps[-2] if depth > 1 else -1))
-            leap_slots[depth + 1] = counts
-        if pure_only and index != kappa:
-            continue
-        row = rows[depth]
-        row.total += 1
+                key = _add_leap(key, gaps[-1] - (gaps[-2] if depth > 1 else -1))
+            leap_slots[depth + 1] = key
+        tally = tallies[depth]
+        tally[key] = tally.get(key, 0) + 1
+    index_of = (lambda counts: max(len(counts) - 1, 1)) if with_profiles else (lambda index: index)
+    rows = []
+    for genus, tally in enumerate(tallies):
+        kept = {key: n for key, n in tally.items() if counted is None or counted(index_of(key))}
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
-        if index <= 2:
-            row.per_class["sparse"] += 1
-        if index <= kappa:
-            row.per_class["kappa_sparse"] += 1
-        if index == kappa:
-            row.per_class["pure_kappa_sparse"] += 1
-        if with_profiles:
-            histogram = histograms[depth]
-            histogram[counts] = histogram.get(counts, 0) + 1
-    for row, histogram in zip(rows, histograms):
-        row.profile_histogram = {
-            LeapProfile(tuple((jump, n) for jump, n in enumerate(counts) if n)): count
-            for counts, count in histogram.items()
+        per_class = {
+            "arf": arf[genus],
+            "sparse": sum(n for key, n in kept.items() if index_of(key) <= 2),
+            "kappa_sparse": sum(n for key, n in kept.items() if index_of(key) <= request.kappa),
+            "pure_kappa_sparse": sum(n for key, n in kept.items() if index_of(key) == request.kappa),
         }
+        histogram = {
+            LeapProfile(tuple((jump, c) for jump, c in enumerate(counts) if c)): n
+            for counts, n in (kept.items() if with_profiles else ())
+        }
+        rows.append(CensusRow(genus, sum(kept.values()), per_class, histogram))
     return rows

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, SemigroupError
+from .core import NumericalSemigroup, SemigroupError, _check_conductor
 from .ideals import is_arf_double
 from .leaps import Leap, LeapProfile, is_hyperelliptic, leap_profile, max_leap_jump
 
@@ -107,6 +107,7 @@ def example_family(a: int, kappa: int) -> NumericalSemigroup:
     """
     if type(kappa) is not int or type(a) is not int or kappa < 3 or a < kappa:
         raise InvalidParameters(f"need kappa >= 3 and a >= kappa, got a={a!r}, kappa={kappa!r}")
+    _check_conductor(2 * a)
     gaps = tuple(range(1, a)) + tuple(range(a + kappa - 1, 2 * a))
     return NumericalSemigroup._unchecked(gaps)
 

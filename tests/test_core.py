@@ -201,6 +201,13 @@ class TestOrdinary:
         with pytest.raises(ValueError):
             ordinary(-1)
 
+    def test_conductor_cap(self, monkeypatch):
+        """The formula is trusted, but its conductor is capped like every constructor's."""
+        assert ordinary(999_999).conductor == 1_000_000
+        monkeypatch.setattr(core, "range", None, raising=False)  # no tuple may be built
+        with pytest.raises(LimitExceeded, match=r"^conductor 1000001 exceeds the cap 1000000$"):
+            ordinary(10**6)
+
 
 class TestMembership:
     def test_gap_is_not_member(self):
@@ -216,6 +223,11 @@ class TestMembership:
     def test_negative_is_not_member(self):
         assert -1 not in gs()
         assert -5 not in gs(1, 3)
+
+    @pytest.mark.parametrize("n", [2.5, 0.5, 3.0, 0.0, 10.0**6, True, False, "3", None])
+    def test_only_an_int_is_a_member(self, n):
+        """As for the constructors, ``type(n) is int``: no float, and no ``bool``."""
+        assert n not in NumericalSemigroup.from_generators([3, 5, 7])
 
     def test_search_matches_the_small_elements_to_genus_12(self):
         """Membership searches the gaps, and no semigroup keeps a set of them."""

@@ -161,7 +161,10 @@ def reference_nodes(max_genus):
 def reference_census(request):
     """The census recomputed node by node from the unpruned reference walk."""
     kappa = request.kappa
-    rows = [CensusRow(genus=g) for g in range(request.max_genus + 1)]
+    rows = [
+        CensusRow(g, 0, dict.fromkeys(("arf", "sparse", "kappa_sparse", "pure_kappa_sparse"), 0), {})
+        for g in range(request.max_genus + 1)
+    ]
     for depth, index, arf, profile in reference_nodes(request.max_genus):
         member = {
             "all": True,

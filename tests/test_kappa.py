@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from sparsegroup import (
     InvalidParameters,
+    LimitExceeded,
     NumericalSemigroup,
     classify,
     example_family,
@@ -147,6 +150,14 @@ class TestExampleFamily:
     def test_bad_parameters(self, a, kappa):
         with pytest.raises(InvalidParameters):
             example_family(a, kappa)
+
+    def test_conductor_cap(self, monkeypatch):
+        """The formula is trusted, but its conductor 2a is capped like every constructor's."""
+        assert example_family(500_000, 3).conductor == 1_000_000
+        module = importlib.import_module("sparsegroup.kappa")
+        monkeypatch.setattr(module, "range", None, raising=False)  # no tuple may be built
+        with pytest.raises(LimitExceeded, match=r"^conductor 1000002 exceeds the cap 1000000$"):
+            example_family(500_001, 3)
 
     @pytest.mark.parametrize("a, kappa", [(3, 3), (5, 3), (6, 4), (7, 5)])
     def test_stated_shape(self, a, kappa):

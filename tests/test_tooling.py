@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import cached_property
@@ -98,6 +99,31 @@ def test_arf_census_matches_the_recorded_digest():
 
 
 @pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (
+            ("--kappa", "3", "--pure"),
+            "65aa7beb411b680e50cf9173192813c26cb35cdd65108d3ca58bfc7734c34943",
+        ),
+        (
+            ("--format", "tsv"),
+            "719364774f00308621d9acca62b83b1a92f8ca8224ae21deb5dc2f3b7578bcfc",
+        ),
+        ((), "22e9b23cec59d5608572ea9301c13b907b7745de8fbac5756b6707427356a1e0"),
+    ],
+    ids=["pure-kappa-3", "all-tsv", "all-json"],
+)
+def test_census_matches_the_recorded_digest(flags, expected):
+    """Genus-18 censuses, byte for byte against the SHA-256 of the per-node census's output.
+
+    Each column and profile is read off a tally per genus; none may change a count.
+    """
+    result = run_python("-m", "sparsegroup", "enumerate", "--census", "--genus", "18", *flags)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
     "form, expected",
     [
         ("tsv", "7d01cd8a862a186331f54e81c63c44aa2811a2cd5ff8e356eb85d04519e4d807"),
@@ -164,6 +190,18 @@ def test_no_library_function_takes_a_conductor_cap():
         )
     ]
     assert found == []
+
+
+def test_every_source_parses_at_the_oldest_supported_python():
+    """Each ``.py`` file parses with the grammar of ``requires-python``'s floor in pyproject.toml."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert floor is not None
+    version = (int(floor[1]), int(floor[2]))
+    paths = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
 
 
 def test_package_root_exports_exactly_what_it_imports():

@@ -128,7 +128,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         result = classify(semigroup)
         record = {
             "gaps": list(semigroup.gaps),
-            **vars(result),
+            **result._asdict(),
             "profile": _profile_json(result.profile),
             "checks": dict(result.checks),
         }

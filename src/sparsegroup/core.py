@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 # Constructors refuse semigroups whose conductor exceeds this.  The cap bounds
@@ -149,29 +148,44 @@ def _closure_violation(gapmask: int) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class NumericalSemigroup:
     """A cofinite, additively closed subset of the naturals containing 0.
 
     The strictly increasing gap tuple is the canonical form: equality and
-    hashing are structural.  Membership searches it; derived data are cached.
+    hashing are structural, and the instance is immutable.  Membership
+    searches it; derived data are cached in the instance ``__dict__``.
     The direct constructor and ``from_gaps`` run the same ``_check_closed``;
     ``_unchecked`` is the one construction that validates nothing.
     """
 
-    gaps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.gaps, tuple):
+    def __init__(self, gaps: tuple[int, ...]) -> None:
+        if not isinstance(gaps, tuple):
             raise TypeError("gaps must be a tuple; use from_gaps() for other iterables")
         previous = 0
-        for gap in self.gaps:
+        for gap in gaps:
             if type(gap) is not int or gap <= previous:
                 raise InvalidGap(
-                    f"gaps must be strictly increasing positive integers, got {self.gaps!r}"
+                    f"gaps must be strictly increasing positive integers, got {gaps!r}"
                 )
             previous = gap
+        self.__dict__["gaps"] = gaps
         self._check_closed()
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        return self.gaps == other.gaps if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gaps,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(gaps={self.gaps!r})"
 
     def _check_closed(self) -> None:
         """Refuse a conductor above the cap, before any mask is built, or a non-closed complement.
@@ -194,7 +208,7 @@ class NumericalSemigroup:
         ``verify`` revalidates every tree-walk node built this way with ``from_gaps``.
         """
         semigroup = object.__new__(cls)
-        object.__setattr__(semigroup, "gaps", gaps)
+        semigroup.__dict__["gaps"] = gaps
         return semigroup
 
     @classmethod

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 from .core import NumericalSemigroup
 from .leaps import LeapProfile
@@ -114,34 +113,36 @@ def _tree(
                     )
 
 
-@dataclass(frozen=True)
-class EnumerationRequest:
+class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filter mode emit")):
     """A walk over genus levels 0..max_genus: the class it counts and how.
 
     Every walk is checked here, once: the mode, the emit, the genus and kappa.
     The genus is not capped; the command line caps it before it asks.
     """
 
-    max_genus: int
-    kappa_filter: int | None = None
-    mode: str = "all"
-    emit: str = "full"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.emit not in EMITS:
-            raise ValueError(f"emit must be one of {EMITS}, got {self.emit!r}")
-        if type(self.max_genus) is not int:
-            raise ValueError(f"max_genus must be an integer, got {self.max_genus!r}")
-        if self.max_genus < 0:
-            raise ValueError(f"max_genus must be non-negative, got {self.max_genus}")
-        if self.kappa_filter is not None and (
-            type(self.kappa_filter) is not int or self.kappa_filter < 1
-        ):
-            raise ValueError(f"kappa_filter must be a positive integer, got {self.kappa_filter!r}")
-        if self.mode in ("kappa_sparse", "pure_kappa_sparse") and self.kappa_filter is None:
-            raise ValueError(f"mode {self.mode!r} requires kappa_filter")
+    def __new__(
+        cls, max_genus: int, kappa_filter: int | None = None, mode: str = "all", emit: str = "full"
+    ) -> EnumerationRequest:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if emit not in EMITS:
+            raise ValueError(f"emit must be one of {EMITS}, got {emit!r}")
+        if type(max_genus) is not int:
+            raise ValueError(f"max_genus must be an integer, got {max_genus!r}")
+        if max_genus < 0:
+            raise ValueError(f"max_genus must be non-negative, got {max_genus}")
+        if kappa_filter is not None and (type(kappa_filter) is not int or kappa_filter < 1):
+            raise ValueError(f"kappa_filter must be a positive integer, got {kappa_filter!r}")
+        if mode in ("kappa_sparse", "pure_kappa_sparse") and kappa_filter is None:
+            raise ValueError(f"mode {mode!r} requires kappa_filter")
+        return super().__new__(cls, max_genus, kappa_filter, mode, emit)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> EnumerationRequest:
+        """The namedtuple's copy path, behind ``_replace`` too: checked like any other."""
+        return cls(*iterable)
 
     @property
     def kappa(self) -> int:
@@ -242,14 +243,10 @@ def enumerate_kappa_sparse(genus: int, kappa: int) -> Iterator[NumericalSemigrou
     yield from members(EnumerationRequest(genus, kappa_filter=kappa, mode="kappa_sparse"))
 
 
-@dataclass
-class CensusRow:
-    """Counts for a single genus level."""
+class CensusRow(namedtuple("CensusRow", "genus total per_class profile_histogram")):
+    """Counts for a single genus level: ``per_class`` by column, ``profile_histogram`` by profile."""
 
-    genus: int
-    total: int
-    per_class: dict[str, int]
-    profile_histogram: dict[LeapProfile, int]
+    __slots__ = ()
 
 
 def _add_leap(counts: tuple[int, ...], jump: int) -> tuple[int, ...]:

@@ -3,25 +3,37 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _read_only
 
 
-@dataclass(frozen=True)
 class RelativeIdeal:
     """Cofinite set of integers closed under adding members of the ambient semigroup.
 
     Canonical form: ``members`` lists the elements in [base, threshold) in
     increasing order, every integer at or above ``threshold`` belongs, and
     ``threshold`` is minimal (so structural equality is set equality).
+    The instance is immutable.
     """
 
-    base: int
-    threshold: int
-    members: tuple[int, ...]
+    def __init__(self, base: int, threshold: int, members: tuple[int, ...]) -> None:
+        self.__dict__.update(base=base, threshold=threshold, members=members)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def _key(self) -> tuple[int, int, tuple[int, ...]]:
+        return self.base, self.threshold, self.members
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "{}(base={!r}, threshold={!r}, members={!r})".format(type(self).__name__, *self._key())
 
     @classmethod
     def from_members(cls, members: Iterable[int], threshold: int) -> RelativeIdeal:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import NumericalSemigroup, SemigroupError, _check_conductor
 from .ideals import is_arf_double
-from .leaps import Leap, LeapProfile, is_hyperelliptic, leap_profile, max_leap_jump
+from .leaps import Leap, is_hyperelliptic, leap_profile, max_leap_jump
 
 
 class InvalidParameters(SemigroupError):
@@ -142,27 +142,22 @@ def sparseness_report(semigroup: NumericalSemigroup, kappa: int) -> tuple[tuple[
     return tuple(checks)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(
+    namedtuple(
+        "Classification",
+        "genus conductor frobenius multiplicity hyperelliptic arf sparse sparseness_index"
+        " figure_class profile pure_witness checks",
+    )
+):
     """Per-semigroup report of derived quantities and class memberships.
 
-    ``pure_witness`` is the first leap whose jump is the sparseness index
-    (None for the full naturals), and ``checks`` holds the deciders' verdicts
-    at that index.  Fields run in the order ``classify`` prints them.
+    ``profile`` is the :class:`LeapProfile`, ``pure_witness`` the first
+    :class:`Leap` whose jump is the sparseness index (None for the full
+    naturals), and ``checks`` holds the deciders' (name, verdict) pairs at
+    that index.  Fields run in the order ``classify`` prints them.
     """
 
-    genus: int
-    conductor: int
-    frobenius: int
-    multiplicity: int
-    hyperelliptic: bool
-    arf: bool
-    sparse: bool
-    sparseness_index: int
-    figure_class: str
-    profile: LeapProfile
-    pure_witness: Leap | None
-    checks: tuple[tuple[str, bool], ...]
+    __slots__ = ()
 
 
 def classify(semigroup: NumericalSemigroup) -> Classification:

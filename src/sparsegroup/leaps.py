@@ -2,34 +2,42 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _read_only
 
 
-class Leap(NamedTuple):
+class Leap(namedtuple("Leap", "lo hi")):
     """Pair of consecutive gaps; the first leap starts at the sentinel -1."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
     @property
     def jump(self) -> int:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
 class LeapProfile:
     """Counts of leaps keyed by jump size, with zero counts omitted.
 
     Stored as an ascending tuple of (jump, count) pairs so profiles are
-    hashable and can key histograms.
+    immutable, hashable and can key histograms.
     """
 
-    counts: tuple[tuple[int, int], ...]
+    def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__["counts"] = counts
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        return self.counts == other.counts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(counts={self.counts!r})"
 
     @cached_property
     def _by_jump(self) -> dict[int, int]:

@@ -13,8 +13,8 @@ prints on failure.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import wraps
 
 from .core import NumericalSemigroup, ordinary
@@ -40,13 +40,10 @@ PAIR_GENUS = 8  # deepest level whose kappa-sparse members are intersected pairw
 KAPPA_LIMIT = 6  # largest kappa the chain, adjunction, pruning and family checks try
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name instances counterexample", defaults=(None,))):
     """Outcome of one invariant family: instance count and first counterexample."""
 
-    name: str
-    instances: int
-    counterexample: str | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -161,10 +161,10 @@ def reference_nodes(max_genus):
 def reference_census(request):
     """The census recomputed node by node from the unpruned reference walk."""
     kappa = request.kappa
-    rows = [
-        CensusRow(g, 0, dict.fromkeys(("arf", "sparse", "kappa_sparse", "pure_kappa_sparse"), 0), {})
-        for g in range(request.max_genus + 1)
-    ]
+    genera = range(request.max_genus + 1)
+    totals = [0 for _ in genera]
+    per_class = [dict.fromkeys(("arf", "sparse", "kappa_sparse", "pure_kappa_sparse"), 0) for _ in genera]
+    histograms = [{} for _ in genera]
     for depth, index, arf, profile in reference_nodes(request.max_genus):
         member = {
             "all": True,
@@ -174,15 +174,15 @@ def reference_census(request):
         }[request.mode]
         if not member:
             continue
-        row = rows[depth]
-        row.total += 1
-        row.per_class["arf"] += arf
-        row.per_class["sparse"] += index <= 2
-        row.per_class["kappa_sparse"] += index <= kappa
-        row.per_class["pure_kappa_sparse"] += index == kappa
+        totals[depth] += 1
+        columns = per_class[depth]
+        columns["arf"] += arf
+        columns["sparse"] += index <= 2
+        columns["kappa_sparse"] += index <= kappa
+        columns["pure_kappa_sparse"] += index == kappa
         if request.emit == "full":
-            row.profile_histogram[profile] = row.profile_histogram.get(profile, 0) + 1
-    return rows
+            histograms[depth][profile] = histograms[depth].get(profile, 0) + 1
+    return [CensusRow(g, totals[g], per_class[g], histograms[g]) for g in genera]
 
 
 def _count_calls(monkeypatch, *functions):

@@ -229,12 +229,37 @@ def test_package_root_exports_exactly_what_it_imports():
 )
 def test_only_the_verify_command_loads_the_verify_module(argv):
     """``-X importtime`` lists every module a run imports; ``sparsegroup.verify`` is not one."""
+    imported = imported_modules(*argv)
+    assert "sparsegroup.cli" in imported
+    assert "sparsegroup.verify" not in imported
+
+
+def imported_modules(*argv: str) -> list[str]:
+    """Every module a run imports, as ``-X importtime`` lists them on stderr."""
     result = run_python("-X", "importtime", *argv)
     assert result.returncode == 0, result.stderr
-    imported = [
+    return [
         line.rsplit("|", 1)[-1].strip()
         for line in result.stderr.splitlines()
         if line.startswith("import time:")
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-c", "import sparsegroup.cli"),
+        ("-m", "sparsegroup", "info", "--gaps", ""),
+        ("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"),
+        ("-m", "sparsegroup", "verify", "--max-genus", "0"),
+    ],
+    ids=["import-cli", "info", "enumerate", "verify"],
+)
+def test_no_command_imports_dataclasses_inspect_or_typing(argv):
+    """The value classes are plain classes and namedtuples, so no command pays for these imports.
+
+    ``-S`` skips ``site``, whose ``.pth`` files may import ``typing`` from outside the package.
+    """
+    imported = imported_modules("-S", *argv)
     assert "sparsegroup.cli" in imported
-    assert "sparsegroup.verify" not in imported
+    assert {"dataclasses", "inspect", "typing"}.isdisjoint(imported)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import pairwise
 
-from .core import NumericalSemigroup, _read_only
+from .core import NumericalSemigroup, _bitmask, _read_only
 
 
 class RelativeIdeal:
@@ -59,14 +59,6 @@ class RelativeIdeal:
             self.base + z, self.threshold + z, tuple(m + z for m in self.members)
         )
 
-    def elements_below(self, stop: int) -> Iterator[int]:
-        """All elements strictly below ``stop``, in increasing order."""
-        for m in self.members:
-            if m >= stop:
-                return
-            yield m
-        yield from range(self.threshold, stop)
-
 
 def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
     """Members of the semigroup from its k-th element upward, as a relative ideal.
@@ -84,19 +76,26 @@ def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
     )
 
 
+def _window(ideal: RelativeIdeal, width: int) -> int:
+    """Bit n set for each element base + n of ``ideal``, for n in [0, width)."""
+    low = _bitmask((m - ideal.base for m in ideal.members if m < ideal.base + width), width)
+    return low | (((1 << width) - 1) & (-1 << (ideal.threshold - ideal.base)))
+
+
 def ideal_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     """All shifts z such that ``right`` translated by z sits inside ``left``.
 
-    Any z >= threshold(left) - base(right) lands entirely in left's tail, which
-    bounds the candidates; each candidate only needs right's elements below
-    threshold(left) - z checked, a finite scan.
+    Any z >= threshold(left) - base(right) lands in left's tail, and no z below
+    base(left) - base(right) fits.  Between, z = base(left) - base(right) + s fits exactly when
+    right's mask over the window [base(left), threshold(left)) meets none of left's non-elements
+    shifted down by s.
     """
-    top = left.threshold - right.base
-    accepted = []
-    for z in range(left.base - right.base, top):
-        if all((z + f) in left for f in right.elements_below(left.threshold - z)):
-            accepted.append(z)
-    return RelativeIdeal.from_members(accepted, threshold=top)
+    width = left.threshold - left.base
+    outside = ((1 << width) - 1) & ~_window(left, width)
+    inside = _window(right, width)
+    offset = left.base - right.base
+    accepted = [offset + s for s in range(width) if not inside & (outside >> s)]
+    return RelativeIdeal.from_members(accepted, threshold=offset + width)
 
 
 def is_stable(semigroup: NumericalSemigroup, k: int) -> bool:
@@ -132,8 +131,12 @@ def is_arf_double(semigroup: NumericalSemigroup) -> bool:
 
     S is Arf iff each T_i = {s - s_i : s in S, s >= s_i} = {0} u (m_i + T_(i+1)) is a semigroup,
     iff m_i = s_(i+1) - s_i is in T_(i+1) (Garcia-Sanchez, Heredia, Karakas and Rosales, 2017).
+    With a = s_i and b = s_(i+1), each test is O(1): 2b - a exceeds the conductor c, or its
+    digit is "1" in the string of member digits over [0, c], spelled once per call.
     """
-    return all(2 * b - a in semigroup for a, b in pairwise(semigroup.small_elements))
+    c, digits = semigroup.conductor, bin(semigroup._small_mask)[:1:-1]
+    pairs = pairwise(semigroup.small_elements)
+    return all(2 * b - a > c or digits[2 * b - a] == "1" for a, b in pairs)
 
 
 def is_arf_stable(semigroup: NumericalSemigroup) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import indexOf, sub
 
 from .core import NumericalSemigroup, SemigroupError, _check_conductor
 from .ideals import is_arf_double
@@ -42,11 +43,8 @@ def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """
     _require_kappa(kappa, 2)
     small = semigroup.small_elements
-    span = len(small) - 1  # == conductor - genus
-    return all(
-        small[i + kappa - 2] - small[i - 1] >= kappa
-        for i in range(1, span - kappa + 3)
-    )
+    # small[j + kappa - 1] - small[j] for each window of kappa members; none if there are fewer
+    return min(map(sub, small[kappa - 1 :], small), default=kappa) >= kappa
 
 
 def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -183,9 +181,10 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
     else:
         label = f"pure-{index}-sparse"
     gaps = semigroup.gaps
-    witness = next(
-        (Leap(lo, hi) for lo, hi in zip((-1,) + gaps, gaps) if hi - lo == index), None
-    )
+    witness = None
+    if gaps:  # some leap has the largest jump; ``indexOf`` stops at the first
+        hi = gaps[indexOf(map(sub, gaps, (-1,) + gaps), index)]
+        witness = Leap(hi - index, hi)
     return Classification(
         genus=genus,
         conductor=semigroup.conductor,

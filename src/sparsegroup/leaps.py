@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
+from operator import sub
 
 from .core import NumericalSemigroup, _read_only
 
@@ -82,7 +83,7 @@ def leap_set(semigroup: NumericalSemigroup) -> tuple[Leap, ...]:
 def _count_jumps(semigroup: NumericalSemigroup) -> LeapProfile:
     """The counting pass behind :func:`leap_profile`: one pass over the gaps."""
     gaps = semigroup.gaps
-    counts = Counter(hi - lo for lo, hi in zip((-1,) + gaps, gaps))
+    counts = Counter(map(sub, gaps, (-1,) + gaps))
     return LeapProfile(tuple(sorted(counts.items())))
 
 

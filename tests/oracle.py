@@ -146,6 +146,26 @@ def is_ideal_of(members: tuple[int, ...], threshold: int, gaps: tuple[int, ...])
     return all(e + h in inside for e in members for h in range(threshold - e) if h not in gapset)
 
 
+def ideal_difference(left, right, start: int, stop: int) -> tuple[int, ...]:
+    """Each z in [start, stop) with z + right inside left, by trying every element of right.
+
+    An ideal is a pair (threshold, members): its members below the threshold,
+    then every integer from the threshold on.  Only elements f of right with
+    z + f below threshold(left) can fall outside left.
+    """
+    left_top, left_members = left
+    right_top, right_members = right
+    inside = set(left_members)
+    return tuple(
+        z
+        for z in range(start, stop)
+        if all(
+            z + f >= left_top or z + f in inside
+            for f in (*right_members, *range(right_top, left_top - z))
+        )
+    )
+
+
 def brute_force_from_generators(generators: list[int], bound: int) -> set[int]:
     """All sums of the generators up to ``bound``, by saturating a reachable set."""
     reachable = {0}

@@ -66,6 +66,15 @@ class TestInfo:
         assert code == 2
         assert "1,3,4" in err
 
+    @pytest.mark.parametrize("text, token", [("1,x", "'x'"), ("1,,3", "''"), ("2.5", "'2.5'")])
+    def test_unparsable_gap_list_names_the_token(self, capsys, text, token):
+        code, out, err = run(capsys, "info", "--gaps", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --gaps {text!r}: cannot parse gap list {text!r}: "
+            f"invalid literal for int() with base 10: {token}\n"
+        )
+
     def test_bad_file_line_is_named(self, capsys, tmp_path):
         path = tmp_path / "input.txt"
         path.write_text("1,2\n1,3,4\n", encoding="utf-8")

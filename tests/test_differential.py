@@ -5,8 +5,10 @@ thousand.  The validated constructors, the minimal generators, the
 member-run decider and the Arf test are checked against the brute-force
 referees in ``oracle``.  Random generators almost never span an Arf
 semigroup, so the Arf test also runs on Arf semigroups built backwards from
-the naturals and on their one-number near misses.  The examples are
-derandomized, so every run sees the same ones.
+the naturals and on their one-number near misses.  ``ideal_difference`` is
+checked against the shift scan on random cofinite sets and on shifted tail
+ideals, and the bit-mask kernels against plain sums of powers of two.  The
+examples are derandomized, so every run sees the same ones.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ from sparsegroup import (
     LimitExceeded,
     NotASemigroup,
     NumericalSemigroup,
+    RelativeIdeal,
+    ideal_at,
+    ideal_difference,
     is_arf_double,
     is_kappa_sparse_run,
     sparseness_index,
 )
 from sparsegroup import core
 
+import oracle
 from oracle import (
     brute_force_from_generators,
     closure_violation,
@@ -188,3 +194,60 @@ def test_arf_double_matches_the_all_pairs_scan_near_arf_semigroups(semigroup, da
 @given(semigroups())
 def test_multiplicity_is_the_first_positive_element(semigroup):
     assert semigroup.multiplicity == semigroup.element(1)
+
+
+@EXAMPLES
+@given(st.sets(st.integers(0, 200)), st.integers(0, 3))
+@example(set(), 0)  # width 0
+@example(set(), 5)  # mask 0
+@example({63}, 0)  # the top bit of the width
+@example({0, 64}, 0)
+def test_bits_inverts_bitmask(values, spare):
+    width = max(values, default=-1) + 1 + spare
+    mask = core._bitmask(values, width)
+    assert mask == sum(1 << n for n in values)
+    assert core._bits(mask) == tuple(sorted(values))
+
+
+@st.composite
+def relative_ideals(draw) -> RelativeIdeal:
+    """Any cofinite set of integers in canonical form, with a base from -15 to 15."""
+    threshold = draw(st.integers(-15, 15))
+    below = draw(st.sets(st.integers(threshold - 12, threshold - 1), max_size=12))
+    return RelativeIdeal.from_members(below, threshold)
+
+
+def assert_difference_matches_the_shift_scan(left: RelativeIdeal, right: RelativeIdeal) -> None:
+    """Every z from three below base(left) - base(right) to three past the top, and the canonical form."""
+    difference = ideal_difference(left, right)
+    start, stop = left.base - right.base - 3, left.threshold - right.base + 3
+    accepted = oracle.ideal_difference(
+        (left.threshold, left.members), (right.threshold, right.members), start, stop
+    )
+    assert accepted[-3:] == tuple(range(stop - 3, stop))
+    threshold = stop
+    while threshold - 1 in accepted:
+        threshold -= 1
+    members = tuple(z for z in accepted if z < threshold)
+    base = members[0] if members else threshold
+    assert (difference.base, difference.threshold, difference.members) == (base, threshold, members)
+
+
+@EXAMPLES
+@given(relative_ideals(), relative_ideals())
+@example(RelativeIdeal.from_members([], 0), RelativeIdeal.from_members([], 0))
+@example(RelativeIdeal.from_members([-9, -5], -2), RelativeIdeal.from_members([4], 7))
+def test_ideal_difference_matches_the_shift_scan(left, right):
+    assert_difference_matches_the_shift_scan(left, right)
+
+
+@EXAMPLES
+@given(semigroups(), st.data())
+def test_ideal_difference_of_shifted_tail_ideals_matches_the_shift_scan(semigroup, data):
+    """Tail ideals of a semigroup, each shifted by -40 to 10, so bases are often negative."""
+    count = len(semigroup.small_elements)
+    left, right = (
+        ideal_at(semigroup, data.draw(st.integers(0, count))).shift(data.draw(st.integers(-40, 10)))
+        for _ in range(2)
+    )
+    assert_difference_matches_the_shift_scan(left, right)

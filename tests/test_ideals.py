@@ -24,7 +24,8 @@ def gs(*gaps: int) -> NumericalSemigroup:
 
 
 def members_below(ideal: RelativeIdeal, stop: int) -> list[int]:
-    return list(ideal.elements_below(stop))
+    """The elements below ``stop``, all of them at or above the base."""
+    return [n for n in range(ideal.base, stop) if n in ideal]
 
 
 class TestRelativeIdeal:
@@ -135,8 +136,8 @@ class TestIdealDifference:
                 tail = ideal_at(node, k)
                 difference = ideal_difference(tail, tail)
                 horizon = tail.threshold + 3
-                for z in difference.elements_below(horizon - tail.base):
-                    for f in tail.elements_below(horizon - z):
+                for z in members_below(difference, horizon - tail.base):
+                    for f in members_below(tail, horizon - z):
                         assert (z + f) in tail
 
 
@@ -179,6 +180,29 @@ class TestArfDeciders:
         assert is_arf_definition(semigroup) == expected
         assert is_arf_double(semigroup) == expected
         assert is_arf_stable(semigroup) == expected
+
+    @pytest.mark.parametrize(
+        "gaps, expected",
+        [
+            # members 0, 5, 8, 10 = c: 2 * 5 - 0 = 10 = c and 2 * 8 - 5 = 11 = c + 1
+            ((1, 2, 3, 4, 6, 7, 9), True),
+            # members 0, 7, 8, ..., 12, 14 = c: 2 * 7 - 0 = 14 = c, then 2 * 12 - 11 = 13 = c - 1
+            ((1, 2, 3, 4, 5, 6, 13), False),
+            ((), True),
+            (tuple(range(1, 2000, 2)), True),
+            (tuple(range(1, 1000)) + (1999,), False),  # 2 * 1998 - 1997 = 1999 = c - 1
+        ],
+    )
+    def test_double_reads_members_at_and_past_the_conductor_without_a_membership_test(
+        self, monkeypatch, gaps, expected
+    ):
+        def refuse(self, n):
+            raise AssertionError("is_arf_double made a membership test")
+
+        semigroup = NumericalSemigroup(gaps)
+        assert is_arf(gaps) == expected
+        monkeypatch.setattr(NumericalSemigroup, "__contains__", refuse)
+        assert is_arf_double(semigroup) == expected
 
     def test_generated_4_5_6_is_not_arf(self):
         semigroup = NumericalSemigroup.from_generators([4, 5, 6])

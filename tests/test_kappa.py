@@ -6,6 +6,7 @@ import pytest
 
 from sparsegroup import (
     InvalidParameters,
+    Leap,
     LimitExceeded,
     NumericalSemigroup,
     classify,
@@ -65,6 +66,22 @@ class TestDecisionProcedures:
     def test_spacing_forms_need_kappa_two(self, procedure):
         with pytest.raises(ValueError):
             procedure(gs(1), 1)
+
+    def test_member_spacing_at_and_past_its_last_window(self, level):
+        """With span = conductor - genus, kappa = span + 1 leaves one window, 0 to the conductor.
+
+        From span + 2 on there is no window of kappa members below the conductor, so the
+        answer is vacuously True, as the gap-spacing form agrees.
+        """
+        for g in range(1, 7):
+            for node in level(g):
+                span = node.conductor - g
+                for kappa in range(max(span - 1, 2), span + 4):
+                    verdict = is_kappa_sparse_nongap(node, kappa)
+                    assert verdict == is_kappa_sparse_gapdiff(node, kappa), (node.gaps, kappa)
+                    assert verdict or kappa <= span
+                assert is_kappa_sparse_nongap(node, 10**9)
+        assert is_kappa_sparse_nongap(gs(), 2)  # span 0: no window at all
 
     @pytest.mark.parametrize(
         "semigroup, kappa",
@@ -230,6 +247,23 @@ class TestReport:
                 assert (first is None) == (node.genus == 0)
                 assert result.checks == sparseness_report(node, result.sparseness_index)
                 assert all(value for _, value in result.checks)
+
+    @pytest.mark.parametrize(
+        "gaps, witness",
+        [
+            ((), None),
+            ((1,), Leap(-1, 1)),  # the leap from -1 has jump 2
+            ((1, 3), Leap(-1, 1)),  # two leaps of jump 2: the first, from -1
+            ((1, 2, 3, 7), Leap(3, 7)),
+            ((1, 2, 3, 4, 5, 6, 9, 12), Leap(6, 9)),  # jumps 2, 1, 1, 1, 1, 1, 3, 3
+            (tuple(range(1, 2000, 2)), Leap(-1, 1)),
+        ],
+    )
+    def test_pure_witness_is_the_first_leap_of_largest_jump(self, gaps, witness):
+        result = classify(NumericalSemigroup(gaps))
+        assert result.pure_witness == witness
+        if witness is not None:
+            assert witness.jump == result.sparseness_index
 
     def test_kappa_one_reports_two_checks(self):
         checks = sparseness_report(gs(1), 1)

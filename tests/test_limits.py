@@ -1,9 +1,10 @@
 """Hostile CLI inputs that once ran for seconds to minutes, each under a subprocess timeout.
 
 Most runs take under a second on a shared 2-core host with Python 3.11,
-apart from the near-cap gap lines: the odd family's takes about 1.6 s, most
+apart from the near-cap gap lines: the odd family's takes about 1.2 s, most
 of it parsing 666666 gaps, and on <2, 999999> ``check --arf`` takes about
-1.4 s and ``classify`` 1.6 to 2.1 s (three CLI runs each).  The
+0.8 s and ``classify`` 0.8 to 1.0 s (three CLI runs each; 1.4 s and 1.6 to
+2.1 s when the Arf test made a binary search per member).  The
 ``info`` runs took 10 to 25 s when ``minimal_generators`` scanned pairs and
 ``from_generators`` swept a byte array; the Arf runs took from two to more
 than ten minutes when the Arf test scanned all pairs of members.  The odd
@@ -12,9 +13,9 @@ m = 33335 and minutes near the conductor cap before
 ``core.MAX_SPANNING_WORK`` refused them.  They are run as ``--generators`` at
 m = 40001, a list that nearly fills one command-line argument (128 KiB on
 Linux), and as a gap line near the conductor cap.  The timeout leaves about
-2.5x headroom on the slowest run, ``classify`` near the cap, and more on the
-rest, so a reintroduced quadratic path fails here instead of slowing the
-suite down.  The two ``enumerate`` runs at the default genus cap, the
+4x headroom on the slowest run, the odd family's gap line, and about 5x on
+``classify`` near the cap, so a reintroduced quadratic path fails here
+instead of slowing the suite down.  The two ``enumerate`` runs at the default genus cap, the
 heaviest walks the command line does without ``--cap``, take under half a
 second each.  The count at genus 22 takes about 0.4 s, since it counts the
 last level from its parents; walking that level took about 0.6 s.
@@ -154,9 +155,10 @@ def test_check_arf_on_the_hyperelliptic_line_at_conductor_1e5(tmp_path):
 
 
 def test_arf_and_classify_on_the_hyperelliptic_line_near_the_conductor_cap(tmp_path):
-    """<2, 999999>: the Arf test makes 499999 membership tests, each a binary search of 499999 gaps.
+    """<2, 999999>: the Arf test reads 499999 digits of one member string, with no membership test.
 
-    About 1.4 s and 1.6 to 2.1 s; a membership test that shifted the gap mask took 6.6 s.
+    About 0.8 s and 0.8 to 1.0 s.  A binary search of the 499999 gaps per member took 1.4 s
+    and 1.6 to 2.1 s, and a membership test that shifted the gap mask 6.6 s.
     """
     path = write_line(tmp_path, NumericalSemigroup(tuple(range(1, 999_998, 2))))
     result = run_cli("check", "--arf", "--file", path)

@@ -6,7 +6,9 @@ import ast
 import hashlib
 import inspect
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -121,6 +123,54 @@ def test_census_matches_the_recorded_digest(flags, expected):
     result = run_python("-m", "sparsegroup", "enumerate", "--census", "--genus", "18", *flags)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == expected
+
+
+def spanned_gaps(generators: list[int]) -> list[int]:
+    """The gaps of the semigroup spanned by coprime ``generators``, all below min * max.
+
+    Adding 1, 2, 4, ... copies of each generator in turn reaches every sum of its multiples.
+    """
+    limit = min(generators) * max(generators)
+    window = (1 << limit) - 1
+    members = 1
+    for g in generators:
+        step = g
+        while step < limit:
+            members |= (members << step) & window
+            step *= 2
+    digits = bin(members)[:1:-1].ljust(limit, "0")
+    return [n for n, digit in enumerate(digits) if digit == "0"]
+
+
+def seeded_gap_file(seed: int, lines: int) -> str:
+    """The empty line, an ordinary and a hyperelliptic line, then ``lines`` random semigroups.
+
+    Each is spanned by a multiplicity m in [50, 200) and two to four numbers in (m, 2m):
+    conductors from a few hundred to about 15000, most in the thousands.
+    """
+    rng = random.Random(seed)
+    out = ["", ",".join(map(str, range(1, 41))), ",".join(map(str, range(1, 2000, 2)))]
+    while len(out) < lines + 3:
+        m = rng.randrange(50, 200)
+        generators = [m, *rng.sample(range(m + 1, 2 * m), rng.randrange(2, 5))]
+        if math.gcd(*generators) == 1:
+            out.append(",".join(map(str, spanned_gaps(generators))))
+    return "\n".join(out) + "\n"
+
+
+def test_classify_file_matches_the_recorded_digest(tmp_path):
+    """303 seeded lines, most with conductors in the thousands, against a recorded SHA-256.
+
+    The digest was recorded with per-element loops in parsing, the leap passes, the deciders
+    and the pure witness; their single passes over the gaps and members may change no byte.
+    """
+    path = tmp_path / "seeded.txt"
+    path.write_text(seeded_gap_file(20, 300), encoding="utf-8")
+    result = run_python("-m", "sparsegroup", "classify", "--file", str(path))
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 303
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == "4472cd238f6834f080949618ba611200256e9e6512f21a4fb939f2b06d95a57a"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import compress, count
+from operator import attrgetter, lt
 
 # Constructors refuse semigroups whose conductor exceeds this.  The cap bounds
 # size; ``MAX_SPANNING_WORK`` bounds time.  ``from_gaps``, ``from_generators`` and
@@ -152,44 +153,55 @@ def _closure_violation(gapmask: int) -> tuple[int, int] | None:
     return None
 
 
-def _read_only(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
-    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+class _Value:
+    """Base of the plain value classes: immutable, with structural equality, hash and repr.
+
+    A subclass names its fields in ``_fields`` and stores them in the instance
+    ``__dict__``, which also holds its ``cached_property`` values.  The key the
+    fields make is a property built once per class, so each ``__eq__`` or
+    ``__hash__`` reads one attribute; an instance equals only its own class.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-class NumericalSemigroup:
+class NumericalSemigroup(_Value):
     """A cofinite, additively closed subset of the naturals containing 0.
 
-    The strictly increasing gap tuple is the canonical form: equality and
-    hashing are structural, and the instance is immutable.  Membership
-    searches it; derived data are cached in the instance ``__dict__``.
-    The direct constructor and ``from_gaps`` run the same ``_check_closed``;
-    ``_unchecked`` is the one construction that validates nothing.
+    The strictly increasing gap tuple is the canonical form and the one
+    field of the value.  Membership searches it; derived data are cached
+    in the instance ``__dict__``.  The direct constructor and ``from_gaps``
+    run the same ``_check_closed``; ``_unchecked`` is the one construction
+    that validates nothing.
     """
+
+    _fields = ("gaps",)
 
     def __init__(self, gaps: tuple[int, ...]) -> None:
         if not isinstance(gaps, tuple):
             raise TypeError("gaps must be a tuple; use from_gaps() for other iterables")
-        previous = 0
-        for gap in gaps:
-            if type(gap) is not int or gap <= previous:
-                raise InvalidGap(
-                    f"gaps must be strictly increasing positive integers, got {gaps!r}"
-                )
-            previous = gap
+        if not (set(map(type, gaps)) <= {int} and all(map(lt, (0,) + gaps, gaps))):
+            raise InvalidGap(f"gaps must be strictly increasing positive integers, got {gaps!r}")
         self.__dict__["gaps"] = gaps
         self._check_closed()
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        return self.gaps == other.gaps if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gaps,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(gaps={self.gaps!r})"
 
     def _check_closed(self) -> None:
         """Refuse a conductor above the cap, before any mask is built, or a non-closed complement.
@@ -346,8 +358,6 @@ class NumericalSemigroup:
     def intersect(self, other: NumericalSemigroup) -> NumericalSemigroup:
         """Intersection of two semigroups; the gap sets simply union."""
         return NumericalSemigroup._unchecked(tuple(sorted({*self.gaps, *other.gaps})))
-
-    __and__ = intersect
 
     def adjoin_frobenius(self) -> NumericalSemigroup:
         """Fill the largest gap, dropping the genus by exactly one."""

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 from itertools import pairwise
 
-from .core import NumericalSemigroup, _bitmask, _read_only
+from .core import NumericalSemigroup, _Value, _bitmask
 
 
-class RelativeIdeal:
+class RelativeIdeal(_Value):
     """Cofinite set of integers closed under adding members of the ambient semigroup.
 
     Canonical form: ``members`` lists the elements in [base, threshold) in
@@ -18,22 +17,10 @@ class RelativeIdeal:
     The instance is immutable.
     """
 
+    _fields = ("base", "threshold", "members")
+
     def __init__(self, base: int, threshold: int, members: tuple[int, ...]) -> None:
         self.__dict__.update(base=base, threshold=threshold, members=members)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def _key(self) -> tuple[int, int, tuple[int, ...]]:
-        return self.base, self.threshold, self.members
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "{}(base={!r}, threshold={!r}, members={!r})".format(type(self).__name__, *self._key())
 
     @classmethod
     def from_members(cls, members: Iterable[int], threshold: int) -> RelativeIdeal:
@@ -46,12 +33,8 @@ class RelativeIdeal:
         base = below[0] if below else cut
         return cls(base, cut, tuple(below))
 
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
     def __contains__(self, n: int) -> bool:
-        return n >= self.threshold or n in self._member_set
+        return n >= self.threshold or n in self.members
 
     def shift(self, z: int) -> RelativeIdeal:
         """Translate every element by ``z``."""

@@ -6,7 +6,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from operator import sub
 
-from .core import NumericalSemigroup, _read_only
+from .core import NumericalSemigroup, _Value
 
 
 class Leap(namedtuple("Leap", "lo hi")):
@@ -19,26 +19,17 @@ class Leap(namedtuple("Leap", "lo hi")):
         return self.hi - self.lo
 
 
-class LeapProfile:
+class LeapProfile(_Value):
     """Counts of leaps keyed by jump size, with zero counts omitted.
 
     Stored as an ascending tuple of (jump, count) pairs so profiles are
     immutable, hashable and can key histograms.
     """
 
+    _fields = ("counts",)
+
     def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
         self.__dict__["counts"] = counts
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        return self.counts == other.counts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.counts,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(counts={self.counts!r})"
 
     @cached_property
     def _by_jump(self) -> dict[int, int]:
@@ -70,9 +61,6 @@ class LeapProfile:
             if kappa is None or jump <= kappa
         )
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
 
 def leap_set(semigroup: NumericalSemigroup) -> tuple[Leap, ...]:
     """All leaps in gap order; empty for the full naturals."""
@@ -89,13 +77,8 @@ def _count_jumps(semigroup: NumericalSemigroup) -> LeapProfile:
 
 def _scan_largest_jump(semigroup: NumericalSemigroup) -> int:
     """The scan behind :func:`max_leap_jump`: one pass over the gaps."""
-    best = 0
-    previous = -1
-    for gap in semigroup.gaps:
-        if gap - previous > best:
-            best = gap - previous
-        previous = gap
-    return best
+    gaps = semigroup.gaps
+    return max(map(sub, gaps, (-1,) + gaps), default=0)
 
 
 # Each statistic is memoized in the instance ``__dict__``, as ``cached_property``

@@ -311,8 +311,8 @@ class TestIntersect:
                 for c in pool[:6]:
                     assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
 
-    def test_operator_form(self):
-        assert (gs(1, 3) & gs(1, 2, 4)) == ordinary(4)
+    def test_union_of_two_gap_sets(self):
+        assert gs(1, 3).intersect(gs(1, 2, 4)) == ordinary(4)
 
 
 class TestAdjoinFrobenius:

@@ -62,7 +62,6 @@ def test_the_benchmark_hooks_exist():
         assert isinstance(members[name], cached_property), name
     for name in ("from_gaps", "from_generators"):
         assert isinstance(members[name], classmethod), name
-    assert members["__and__"] is members["intersect"]
     assert "__contains__" in members
     parameters = inspect.signature(enumeration._walk).parameters.values()
     assert [(p.name, p.default) for p in parameters] == [

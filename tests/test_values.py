@@ -103,6 +103,13 @@ def test_the_plain_classes_equal_only_their_own_class():
     assert LeapProfile(((1, 1),)) != (((1, 1),),)
     assert RelativeIdeal(3, 5, (3,)) != (3, 5, (3,))
     assert NumericalSemigroup(()) != LeapProfile(())
+    assert LeapProfile(()) != RelativeIdeal(0, 0, ())
+
+
+@pytest.mark.parametrize("cls", [NumericalSemigroup, LeapProfile, RelativeIdeal])
+def test_the_plain_classes_inherit_the_value_contract(cls):
+    """Equality, hash, repr and immutability are written once, on the shared base."""
+    assert {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"}.isdisjoint(vars(cls))
 
 
 def test_repr_strings():
@@ -136,7 +143,7 @@ def test_cached_properties_live_in_the_instance_dict():
     profile = LeapProfile(((1, 1), (2, 2)))
     assert profile.v(2) == 2 and "_by_jump" in vars(profile)
     ideal = RelativeIdeal(3, 5, (3,))
-    assert 3 in ideal and 4 not in ideal and "_member_set" in vars(ideal)
+    assert 3 in ideal and 4 not in ideal and 5 in ideal and 2 not in ideal
 
 
 def test_leap_profile_keys_a_histogram():

@@ -8,24 +8,17 @@ import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 
+# Start-up is most of a small run, so only ``core`` is imported here: each command imports
+# the rest of what it runs, and the parser needs nothing else.
 from .core import (
+    DEFAULT_GENUS_CAP,
     LimitExceeded,
     NumericalSemigroup,
     SemigroupError,
+    _require_kappa,
     format_gap_line,
     parse_gap_line,
 )
-from .enumeration import (
-    DEFAULT_GENUS_CAP,
-    CensusRow,
-    EnumerationRequest,
-    census,
-    level_size,
-    members,
-)
-from .ideals import is_arf_double
-from .kappa import _require_kappa, classify, is_kappa_sparse, is_pure_kappa_sparse
-from .leaps import is_hyperelliptic, is_sparse, leap_profile, leap_set
 
 CENSUS_COLUMNS = ("genus", "total", "arf", "sparse", "kappa_sparse", "pure_kappa_sparse")
 
@@ -76,7 +69,7 @@ def _print_reports(args: argparse.Namespace, report: Callable[[NumericalSemigrou
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gaps", help="comma-separated increasing gaps ('' for the full naturals)")
+    group.add_argument("--gaps", help="comma-separated gaps, in any order ('' for the full naturals)")
     group.add_argument("--generators", help="comma-separated generators with gcd 1")
     group.add_argument("--file", help="gap-list text file, one semigroup per line")
 
@@ -87,6 +80,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .ideals import is_arf_double
+    from .kappa import is_kappa_sparse, is_pure_kappa_sparse
+    from .leaps import is_hyperelliptic, is_sparse
     if args.arf:
         name, predicate = "arf", is_arf_double
     elif args.sparse:
@@ -115,6 +111,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_leaps(args: argparse.Namespace) -> int:
+    from .leaps import leap_profile, leap_set
+
     def report(semigroup: NumericalSemigroup) -> str:
         pairs = (f"{leap.lo}\t{leap.hi}" for leap in leap_set(semigroup))
         return "\n".join([json.dumps(_profile_json(leap_profile(semigroup))), *pairs])
@@ -124,6 +122,8 @@ def _cmd_leaps(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .kappa import classify
+
     def report(semigroup: NumericalSemigroup) -> str:
         result = classify(semigroup)
         record = {
@@ -138,7 +138,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_rows_json(rows: list[CensusRow], with_profiles: bool) -> list[dict]:
+def _census_rows_json(rows: list, with_profiles: bool) -> list[dict]:
     out = []
     for row in rows:
         record = {"genus": row.genus, "total": row.total, **row.per_class}
@@ -160,6 +160,7 @@ def _check_genus_cap(genus: int, cap: int) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import EnumerationRequest, census, level_size, members
     if args.pure and args.kappa is None:
         raise SemigroupError("--pure requires --kappa")
     if args.arf and (args.kappa is not None or args.pure):
@@ -204,7 +205,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_checks  # here, so the other commands never load it
+    from .verify import run_checks
     _check_genus_cap(args.max_genus, DEFAULT_GENUS_CAP)
     results = run_checks(args.max_genus)
     failed = 0

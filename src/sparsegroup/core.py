@@ -18,6 +18,11 @@ from operator import attrgetter, lt
 # example_family(c/2, c/2) (Python 3.11, shared 2-core host).
 DEFAULT_MAX_CONDUCTOR = 1_000_000
 
+# The deepest genus the command line walks unless ``enumerate --cap`` says
+# otherwise; library walks are not capped.  It is defined here, beside the
+# conductor cap, so that the command-line parser loads no walk to read it.
+DEFAULT_GENUS_CAP = 18
+
 # One ``_spanning`` pass refuses to span more numbers than this divided by the
 # bits of its window, since each costs a few shift-ors over the whole window.
 # Many small generators, the odd numbers in [m, 2m) with c = 3m, took 111 s in
@@ -66,21 +71,29 @@ def _bitmask(values: Iterable[int], width: int) -> int:
     return int(digits[::-1], 2)
 
 
-def _distinct_positive(values: Iterable[int], error: type[SemigroupError], what: str) -> set[int]:
-    """The distinct ``values``, all positive ``int``, or ``error`` naming the first that is not.
+def _distinct_positive(
+    values: Iterable[int], error: type[SemigroupError], what: str
+) -> tuple[int, ...]:
+    """The distinct ``values`` in increasing order, all positive ``int``, or ``error`` naming one.
 
-    The type is checked in the order given, before the set can merge ``True``
-    into 1; the sign is checked in the set's order.
+    The types are checked first, before the set can merge ``True`` into 1, and
+    the first value that is not an ``int`` is named; then the smallest value,
+    if it is not positive.
     """
     given = list(values)
-    for value in given:
-        if type(value) is not int:
-            raise error(f"{what} must be positive integers, got {value!r}")
-    collected = set(given)
-    for value in collected:
-        if value < 1:
-            raise error(f"{what} must be positive integers, got {value!r}")
-    return collected
+    if not set(map(type, given)) <= {int}:
+        offender = next(value for value in given if type(value) is not int)
+        raise error(f"{what} must be positive integers, got {offender!r}")
+    ordered = sorted(set(given))
+    if ordered and ordered[0] < 1:
+        raise error(f"{what} must be positive integers, got {ordered[0]!r}")
+    return tuple(ordered)
+
+
+def _require_kappa(kappa: int, minimum: int) -> None:
+    """Refuse a kappa that is not an ``int`` of at least ``minimum``: one text for every caller."""
+    if type(kappa) is not int or kappa < minimum:
+        raise ValueError(f"kappa must be an integer >= {minimum}, got {kappa!r}")
 
 
 def _check_conductor(conductor: int) -> None:
@@ -234,8 +247,7 @@ class NumericalSemigroup(_Value):
         Raises :class:`InvalidGap` for an entry that is not a positive ``int``,
         then sorts and deduplicates, then runs ``_check_closed``.
         """
-        values = sorted(_distinct_positive(gaps, InvalidGap, "gap values"))
-        semigroup = cls._unchecked(tuple(values))
+        semigroup = cls._unchecked(_distinct_positive(gaps, InvalidGap, "gap values"))
         semigroup._check_closed()
         return semigroup
 
@@ -251,12 +263,12 @@ class NumericalSemigroup(_Value):
         Its last pass yields exactly the minimal generators (all below c + min),
         kept with its gap mask as the result's ``minimal_generators`` and ``gap_mask``.
         """
-        values = sorted(_distinct_positive(generators, InvalidGenerator, "generators"))
+        values = _distinct_positive(generators, InvalidGenerator, "generators")
         if not values:
             raise NotCofinite("an empty generating set spans only {0}")
         if math.gcd(*values) != 1:
             raise NotCofinite(
-                f"generators {values} have gcd {math.gcd(*values)}; complement is infinite"
+                f"generators {list(values)} have gcd {math.gcd(*values)}; complement is infinite"
             )
         lowest = values[0]
         limit = min(lowest * values[-1], DEFAULT_MAX_CONDUCTOR + lowest) + 1
@@ -273,7 +285,7 @@ class NumericalSemigroup(_Value):
         conductor = gapmask.bit_length()
         if conductor > width - lowest or conductor > DEFAULT_MAX_CONDUCTOR:
             raise LimitExceeded(
-                f"semigroup generated by {values} has conductor above the cap {DEFAULT_MAX_CONDUCTOR}"
+                f"semigroup generated by {list(values)} has conductor above the cap {DEFAULT_MAX_CONDUCTOR}"
             )
         semigroup = cls._unchecked(_bits(gapmask))
         vars(semigroup).update(gap_mask=gapmask, minimal_generators=tuple(minimal))

@@ -5,12 +5,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _require_kappa
 from .leaps import LeapProfile
-
-# The deepest genus the command line walks unless ``enumerate --cap`` says
-# otherwise; library walks are not capped.
-DEFAULT_GENUS_CAP = 18
 
 MODES = ("all", "kappa_sparse", "pure_kappa_sparse", "arf")
 EMITS = ("full", "count_only")
@@ -133,8 +129,8 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
             raise ValueError(f"max_genus must be an integer, got {max_genus!r}")
         if max_genus < 0:
             raise ValueError(f"max_genus must be non-negative, got {max_genus}")
-        if kappa_filter is not None and (type(kappa_filter) is not int or kappa_filter < 1):
-            raise ValueError(f"kappa_filter must be a positive integer, got {kappa_filter!r}")
+        if kappa_filter is not None:
+            _require_kappa(kappa_filter, 1)
         if mode in ("kappa_sparse", "pure_kappa_sparse") and kappa_filter is None:
             raise ValueError(f"mode {mode!r} requires kappa_filter")
         return super().__new__(cls, max_genus, kappa_filter, mode, emit)

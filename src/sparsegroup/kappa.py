@@ -5,18 +5,13 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import indexOf, sub
 
-from .core import NumericalSemigroup, SemigroupError, _check_conductor
+from .core import NumericalSemigroup, SemigroupError, _check_conductor, _require_kappa
 from .ideals import is_arf_double
 from .leaps import Leap, is_hyperelliptic, leap_profile, max_leap_jump
 
 
 class InvalidParameters(SemigroupError):
     """Parameters outside the defining range of the two-block family."""
-
-
-def _require_kappa(kappa: int, minimum: int) -> None:
-    if type(kappa) is not int or kappa < minimum:
-        raise ValueError(f"kappa must be an integer >= {minimum}, got {kappa!r}")
 
 
 def is_kappa_sparse_profile(semigroup: NumericalSemigroup, kappa: int) -> bool:

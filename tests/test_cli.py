@@ -61,6 +61,24 @@ class TestInfo:
             main(["info"])
         assert excinfo.value.code == 2
 
+    def test_gaps_help_accepts_any_order(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["info", "--help"])
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--gaps GAPS comma-separated gaps, in any order ('' for the full naturals)" in help_text
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--gaps", "1,-1,-2", "gap values must be positive integers, got -2"),
+            ("--generators", "-4,0,3", "generators must be positive integers, got -4"),
+        ],
+    )
+    def test_the_smallest_non_positive_value_is_named(self, capsys, flag, text, message):
+        code, out, err = run(capsys, "info", f"{flag}={text}")
+        assert (code, out, err) == (2, "", f"error: {flag} {text!r}: {message}\n")
+
     def test_invalid_gap_list_diagnostic(self, capsys):
         code, _, err = run(capsys, "info", "--gaps", "1,3,4")
         assert code == 2

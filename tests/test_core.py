@@ -411,7 +411,7 @@ class TestValueSemantics:
         (
             lambda: EnumerationRequest(3, kappa_filter=True, mode="kappa_sparse"),
             ValueError,
-            "kappa_filter must be a positive integer, got True",
+            "kappa must be an integer >= 1, got True",
         ),
         (
             lambda: NumericalSemigroup.from_gaps([1, True]),
@@ -422,6 +422,16 @@ class TestValueSemantics:
             lambda: NumericalSemigroup.from_generators([1, True]),
             InvalidGenerator,
             "generators must be positive integers, got True",
+        ),
+        (
+            lambda: NumericalSemigroup.from_gaps([1, -1, -2]),
+            InvalidGap,
+            "gap values must be positive integers, got -2",
+        ),
+        (
+            lambda: NumericalSemigroup.from_generators([-4, 0, 3]),
+            InvalidGenerator,
+            "generators must be positive integers, got -4",
         ),
         (lambda: next(enumerate_genus(True)), ValueError, "max_genus must be an integer, got True"),
         (lambda: next(enumerate_genus(2.0)), ValueError, "max_genus must be an integer, got 2.0"),
@@ -438,6 +448,8 @@ class TestValueSemantics:
         "kappa-filter",
         "gap-after-its-equal",
         "generator-after-its-equal",
+        "smallest-gap",
+        "smallest-generator",
         "genus",
         "float-genus",
         "verify-genus",

@@ -29,8 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sparsegroup import NumericalSemigroup, example_family, format_gap_line
-from sparsegroup.enumeration import DEFAULT_GENUS_CAP
+from sparsegroup import DEFAULT_GENUS_CAP, NumericalSemigroup, example_family, format_gap_line
 
 from oracle import PUBLISHED_LEVEL_SIZES
 

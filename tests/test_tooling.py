@@ -253,34 +253,63 @@ def test_every_source_parses_at_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
 
 
-def test_package_root_exports_exactly_what_it_imports():
-    """``sparsegroup.__all__`` names each public non-module name ``__init__.py`` imports, once."""
+# ``sparsegroup.__all__``, pinned: the 48 public names in sorted order.
+PUBLIC_NAMES = """
+    CensusRow Classification DEFAULT_GENUS_CAP DEFAULT_MAX_CONDUCTOR EnumerationRequest
+    InvalidGap InvalidGenerator InvalidParameters Leap LeapProfile LimitExceeded NotASemigroup
+    NotCofinite NumericalSemigroup RelativeIdeal SemigroupError TrivialSemigroup census children
+    classify enumerate_genus enumerate_kappa_sparse example_family format_gap_line
+    frobenius_from_profile frobenius_identity_check ideal_at ideal_difference is_arf_definition
+    is_arf_double is_arf_stable is_hyperelliptic is_kappa_sparse is_kappa_sparse_gapdiff
+    is_kappa_sparse_nongap is_kappa_sparse_profile is_kappa_sparse_run is_pure_kappa_sparse
+    is_sparse is_stable leap_profile leap_set level_size max_leap_jump ordinary parse_gap_line
+    sparseness_index sparseness_report
+""".split()
+
+
+def test_package_root_lists_each_public_name_once(monkeypatch):
+    """One table in ``__init__.py`` maps each home module to its names; the root reads them there."""
     tree = ast.parse((ROOT / "src" / "sparsegroup" / "__init__.py").read_text(encoding="utf-8"))
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    ]
-    public = sorted(
-        name
-        for name in imported
-        if not name.startswith("_") and not inspect.ismodule(getattr(sparsegroup, name))
-    )
-    assert sorted(sparsegroup.__all__) == public
-    assert [name for name in sparsegroup.__all__ if not hasattr(sparsegroup, name)] == []
+    literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert [name for name in PUBLIC_NAMES if literals.count(name) != 1] == []
+    assert sparsegroup.__all__ == PUBLIC_NAMES
+    assert dir(sparsegroup) == PUBLIC_NAMES
+    for home, names in sparsegroup._HOMES.items():
+        module = getattr(sparsegroup, home)
+        assert module.__name__ == f"sparsegroup.{home}"
+        assert [name for name in names if getattr(sparsegroup, name) is not getattr(module, name)] == []
+    namespace: dict = {}
+    exec("from sparsegroup import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC_NAMES
+    monkeypatch.setattr(enumeration, "census", len)
+    assert sparsegroup.census is len
+
+
+ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("-c", "import sparsegroup.cli"), ("-m", "sparsegroup", "info", "--gaps", "")],
-    ids=["import-cli", "info"],
+    "argv, loaded",
+    [
+        (("-c", "import sparsegroup"), set()),
+        (("-c", "import sparsegroup.cli"), {"cli", "core"}),
+        (("-m", "sparsegroup", "info", "--gaps", ""), {"cli", "core"}),
+        (
+            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"),
+            {"cli", "core", "enumeration", "leaps"},
+        ),
+        (("-m", "sparsegroup", "leaps", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),
+        (("-m", "sparsegroup", "check", "--sparse", "--gaps", "1,2,4"), ALL_MODULES - {"enumeration"}),
+        (("-m", "sparsegroup", "classify", "--gaps", "1,2,4"), ALL_MODULES - {"enumeration"}),
+        (("-m", "sparsegroup", "verify", "--max-genus", "0"), ALL_MODULES | {"verify"}),
+    ],
+    ids=["import", "import-cli", "info", "enumerate", "leaps", "check", "classify", "verify"],
 )
-def test_only_the_verify_command_loads_the_verify_module(argv):
-    """``-X importtime`` lists every module a run imports; ``sparsegroup.verify`` is not one."""
-    imported = imported_modules(*argv)
-    assert "sparsegroup.cli" in imported
-    assert "sparsegroup.verify" not in imported
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    """``-X importtime`` lists every module a run imports; ``-S`` keeps ``site`` out of it."""
+    imported = imported_modules("-S", *argv)
+    assert "sparsegroup" in imported
+    assert {name.split(".", 1)[1] for name in imported if name.startswith("sparsegroup.")} == loaded
 
 
 def imported_modules(*argv: str) -> list[str]:

@@ -179,16 +179,16 @@ MODES = "('all', 'kappa_sparse', 'pure_kappa_sparse', 'arf')"
         ({"max_genus": 2.0}, "max_genus must be an integer, got 2.0"),
         ({"max_genus": True}, "max_genus must be an integer, got True"),
         ({"max_genus": -1}, "max_genus must be non-negative, got -1"),
-        ({"max_genus": 2, "kappa_filter": 0}, "kappa_filter must be a positive integer, got 0"),
-        ({"max_genus": 2, "kappa_filter": True}, "kappa_filter must be a positive integer, got True"),
-        ({"max_genus": 2, "kappa_filter": 1.5}, "kappa_filter must be a positive integer, got 1.5"),
+        ({"max_genus": 2, "kappa_filter": 0}, "kappa must be an integer >= 1, got 0"),
+        ({"max_genus": 2, "kappa_filter": True}, "kappa must be an integer >= 1, got True"),
+        ({"max_genus": 2, "kappa_filter": 1.5}, "kappa must be an integer >= 1, got 1.5"),
         ({"max_genus": 2, "mode": "kappa_sparse"}, "mode 'kappa_sparse' requires kappa_filter"),
         ({"max_genus": 2, "mode": "pure_kappa_sparse"}, "mode 'pure_kappa_sparse' requires kappa_filter"),
         # the checks run in this order: mode, emit, genus, kappa, then the mode's kappa
         ({"max_genus": -1, "mode": "x", "emit": "y"}, f"mode must be one of {MODES}, got 'x'"),
         ({"max_genus": -1, "emit": "y"}, "emit must be one of ('full', 'count_only'), got 'y'"),
         ({"max_genus": None, "kappa_filter": 0}, "max_genus must be an integer, got None"),
-        ({"max_genus": 2, "kappa_filter": 0, "mode": "kappa_sparse"}, "kappa_filter must be a positive integer, got 0"),
+        ({"max_genus": 2, "kappa_filter": 0, "mode": "kappa_sparse"}, "kappa must be an integer >= 1, got 0"),
     ],
 )
 def test_enumeration_request_refusals(arguments, message):

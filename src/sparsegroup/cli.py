@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 
 # Start-up is most of a small run, so only ``core`` is imported here: each command imports
-# the rest of what it runs, and the parser needs nothing else.
+# the rest of what it runs, ``json`` included, and the parser needs nothing else.
 from .core import (
     DEFAULT_GENUS_CAP,
     LimitExceeded,
@@ -75,23 +74,28 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    import json
     _print_reports(args, lambda semigroup: json.dumps(semigroup.describe()))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .ideals import is_arf_double
-    from .kappa import is_kappa_sparse, is_pure_kappa_sparse
-    from .leaps import is_hyperelliptic, is_sparse
+    import json
+    # each predicate imports only its own module
     if args.arf:
-        name, predicate = "arf", is_arf_double
+        from .ideals import is_arf_double as predicate
+        name = "arf"
     elif args.sparse:
-        name, predicate = "sparse", is_sparse
+        from .leaps import is_sparse as predicate
+        name = "sparse"
     elif args.hyperelliptic:
-        name, predicate = "hyperelliptic", is_hyperelliptic
+        from .leaps import is_hyperelliptic as predicate
+        name = "hyperelliptic"
     elif args.kappa is not None:
+        from .kappa import is_kappa_sparse
         name, predicate = "kappa_sparse", lambda s: is_kappa_sparse(s, args.kappa)
     else:
+        from .kappa import is_pure_kappa_sparse
         name, predicate = "pure_kappa_sparse", lambda s: is_pure_kappa_sparse(s, args.pure)
     kappa = args.kappa if args.kappa is not None else args.pure
     if kappa is not None:
@@ -111,6 +115,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_leaps(args: argparse.Namespace) -> int:
+    import json
     from .leaps import leap_profile, leap_set
 
     def report(semigroup: NumericalSemigroup) -> str:
@@ -122,6 +127,7 @@ def _cmd_leaps(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    import json
     from .kappa import classify
 
     def report(semigroup: NumericalSemigroup) -> str:
@@ -189,18 +195,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 cells = [row.genus, row.total] + [row.per_class[c] for c in CENSUS_COLUMNS[2:]]
                 print("\t".join(str(cell) for cell in cells))
         else:
+            import json
             print(json.dumps(_census_rows_json(rows, with_profiles=request.emit == "full")))
         return 0
 
     if args.count_only:
         print(level_size(request))
         return 0
-    for semigroup in members(request):
-        if args.format == "tsv":
-            # gap-list text format, so the output feeds straight back into --file
+    if args.format == "tsv":
+        # gap-list text format, so the output feeds straight back into --file
+        for semigroup in members(request):
             print(format_gap_line(semigroup))
-        else:
-            print(json.dumps({"gaps": list(semigroup.gaps)}))
+        return 0
+    import json
+    for semigroup in members(request):
+        print(json.dumps({"gaps": list(semigroup.gaps)}))
     return 0
 
 

@@ -6,7 +6,6 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
 from .core import NumericalSemigroup, _require_kappa
-from .leaps import LeapProfile
 
 MODES = ("all", "kappa_sparse", "pure_kappa_sparse", "arf")
 EMITS = ("full", "count_only")
@@ -47,66 +46,93 @@ def _walk(
 def _tree(
     max_genus: int,
     keep: Callable[[int], bool] | None,
-    parents: bool,
+    count: bool,
+    counted: Callable[[int], bool] | None = None,
 ) -> Iterator[tuple]:
-    """The walk behind ``_walk``, or with ``parents`` the nodes one level above its deepest.
+    """The walk behind ``_walk``, or with ``count`` its deepest level counted from two levels up.
 
-    Without ``parents`` it yields what ``_walk`` yields.  With ``parents`` it
-    yields only at depth ``max_genus - 1`` and stacks nothing deeper: each
-    node there yields ``(index, frobenius, generators)``, its minimal
-    generators above F once updated.  Its children, one level down, are the
-    removals of those generators, so they can be counted unbuilt.
+    Without ``count`` it yields what ``_walk`` yields.  With ``count`` (and
+    ``max_genus`` >= 2) it stacks nothing below depth ``max_genus - 2`` and
+    yields one number per node there: how many of its grandchildren
+    ``counted`` accepts (all if ``None``), through the children that ``keep``
+    accepts.  It then carries each node's Frobenius number F in place of its
+    gaps, which the count never reads.
 
     A child that removes x from a node with Frobenius number F adds exactly
     one leap, (F, x), so its index is the larger of the node's and x - F.
 
     A node carries its multiplicity m, its member mask over [0, W], the
     reversed mask (bit W - n set iff n is a member) and its minimal
-    generators above F.  Its child without x > F keeps the generators above
-    x and gains at most y = x + m: a new one is x + s, s a nonzero member,
-    and none exceeds x + m.  It gains y unless some a in (m, x) has a and
-    y - a in the child: one AND of the mask with the reversed mask shifted by
-    W - y.  An ordinary node's child without m is ordinary, with generators
-    m + 1, ..., 2m + 1.  A stacked child holds its parent's masks and the
-    generators after x, or ``None`` if ordinary.  It is built only if popped
-    at a depth d < ``max_genus``, where x, its Frobenius number, is at most
-    2d - 1 and m is at most d + 1, so y <= 3d and W = 3 * ``max_genus`` suffices.
+    generators above F.  Its child without x > F has Frobenius number x,
+    keeps the generators above x and gains at most y = x + m: a new one is
+    x + s, s a nonzero member, and none exceeds x + m.  It gains y unless
+    some a in (m, x) has a and y - a as members.  On (m, x) the child and the
+    node agree, so that is one AND of the node's mask with its reversed mask
+    shifted by W - y.  The child without m of an ordinary node is ordinary,
+    with generators m + 1, ..., 2m + 1.  So a child's generators are known
+    before it is stacked, and each x' of them is a grandchild, of index
+    max(the child's index, x' - x).  A child at depth ``max_genus`` is
+    stacked without them, as nothing below it is read.
+
+    The AND runs on the children of nodes at depth d <= ``max_genus - 2``.
+    Such a child's x is at most 2d + 1 and m is at most d + 1, so y <= 3d + 2
+    and W = 3 * ``max_genus`` suffices.
     """
     if keep is not None and not keep(1):
         return
     width = 3 * max_genus
     everything = (1 << width + 1) - 1
-    last_parents = max_genus - 1 if parents else -1
-    # depth, gaps, multiplicity, index, members, reversed members, generators above F
-    stack = [(0, (), 1, 1, everything, everything, (1,))]
+    last = max_genus - 2 if count else -1
+    # depth, gaps or (if counting) F, multiplicity, index, members, reversed members, generators
+    stack = [(0, -1 if count else (), 1, 1, everything, everything, (1,))]
     while stack:
-        depth, gaps, multiplicity, index, members, reversed_members, generators = stack.pop()
-        if not parents:
-            yield depth, gaps, index
-        if depth < max_genus:
-            frobenius = gaps[-1] if gaps else -1
-            if gaps:
-                members ^= 1 << frobenius
-                reversed_members ^= 1 << width - frobenius
-                if generators is None:
-                    multiplicity = frobenius + 1
-                    generators = tuple(range(multiplicity, 2 * multiplicity))
-                else:
-                    y = frobenius + multiplicity
-                    sums = (members & reversed_members >> width - y) >> multiplicity + 1
-                    if not sums & (1 << frobenius - multiplicity - 1) - 1:
-                        generators += (y,)
-            if depth == last_parents:
-                yield index, frobenius, generators
+        depth, trail, multiplicity, index, members, reversed_members, generators = stack.pop()
+        if not count:
+            yield depth, trail, index
+        if depth == max_genus:
+            continue
+        frobenius = trail if count else trail[-1] if trail else -1
+        leaves = depth + 1 == max_genus
+        total = 0
+        for i in reversed(range(len(generators))):
+            x = generators[i]
+            child_index = index if index > x - frobenius else x - frobenius
+            if keep is not None and not keep(child_index):
                 continue
-            for i in reversed(range(len(generators))):
-                x = generators[i]
-                child_index = index if index > x - frobenius else x - frobenius
-                if keep is None or keep(child_index):
-                    tail = None if x == multiplicity else generators[i + 1 :]
-                    stack.append(
-                        (depth + 1, gaps + (x,), multiplicity, child_index, members, reversed_members, tail)
+            if leaves:  # yielded and dropped, so it carries no masks or generators
+                stack.append((depth + 1, trail + (x,), 0, child_index, 0, 0, None))
+                continue
+            if x == multiplicity:
+                child_multiplicity = x + 1
+                child_generators = tuple(range(x + 1, 2 * x + 2))
+            else:
+                child_multiplicity = multiplicity
+                child_generators = generators[i + 1 :]
+                y = x + multiplicity
+                sums = (members & reversed_members >> width - y) >> multiplicity + 1
+                if not sums & (1 << x - multiplicity - 1) - 1:
+                    child_generators += (y,)
+            if depth == last:
+                if counted is None:
+                    total += len(child_generators)
+                else:
+                    total += sum(
+                        counted(child_index if child_index > g - x else g - x) for g in child_generators
                     )
+                continue
+            stack.append(
+                (
+                    depth + 1,
+                    x if count else trail + (x,),
+                    child_multiplicity,
+                    child_index,
+                    members ^ 1 << x,
+                    reversed_members ^ 1 << width - x,
+                    child_generators,
+                )
+            )
+        if depth == last:
+            yield total
 
 
 class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filter mode emit")):
@@ -205,25 +231,20 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
 def level_size(request: EnumerationRequest) -> int:
     """How many members ``members(request)`` yields, counted without building any.
 
-    The walk stops one level early: a node at depth ``max_genus - 1`` has a
-    child per minimal generator x > F, of index max(index, x - F), so it
-    counts the children that the walk would keep and ``members`` would pick.
-    Arf mode counts the deepest entries of ``_arf_walk``.
+    The walk stops two levels early: ``_tree`` counts each depth-``max_genus - 2``
+    node's grandchildren from the generators of its children, which it never
+    stacks.  Genus 0 and 1 have no such level and are read off the walk.  Arf
+    mode counts the deepest entries of ``_arf_walk``.
     """
     genus = request.max_genus
     if request.mode == "arf":
         return sum(depth == genus for depth, _, _ in _arf_walk(genus))
+    keep = _keep(request)
     counted = _counted(request)
-    if genus == 0:
-        return int(counted is None or counted(1))
-    parents = _tree(genus, _keep(request), True)
-    if counted is None:
-        return sum(len(generators) for _, _, generators in parents)
-    return sum(
-        counted(index if index > x - frobenius else x - frobenius)
-        for index, frobenius, generators in parents
-        for x in generators
-    )
+    if genus < 2:
+        level = (index for depth, _, index in _walk(genus, keep) if depth == genus)
+        return sum(counted is None or counted(index) for index in level)
+    return sum(_tree(genus, keep, True, counted))
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -267,6 +288,8 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     once per distinct key, as each row is built after the walk.  The ``arf``
     column counts the ``_arf_walk`` entries that pass the member test.
     """
+    from .leaps import LeapProfile  # only the census builds profiles, so a count never loads leaps
+
     counted = _counted(request)
     with_profiles = request.emit == "full"
     arf_nodes = _arf_walk(request.max_genus)

@@ -13,7 +13,7 @@ KNOWN_LEVEL_SIZES = (1, 1, 2, 4, 7, 12, 23, 39)
 # Published numbers of numerical semigroups of genus 0..24: OEIS A007323, and
 # Bras-Amoros, "Fibonacci-like behavior of the number of numerical semigroups
 # of a given genus", Semigroup Forum 2008.  Independent of any code here.
-# The full tree walk and the count from the parents of the last level both
+# The full tree walk and the count from two levels up both
 # reproduce every value, 23 and 24 included.
 PUBLISHED_LEVEL_SIZES = (
     1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467,
@@ -28,6 +28,32 @@ ARF_LEVEL_SIZES = (
     1, 1, 2, 3, 4, 6, 8, 10, 13, 17, 21, 26, 31, 36, 47, 55, 62, 74, 87, 101, 116, 133, 152,
     174, 196, 222, 251, 284, 317, 355, 393,
 )
+
+# Numbers of kappa-sparse numerical semigroups of genus 0..len - 1, for kappa
+# 2..5: every gap exceeds the one before it, or -1 for the first, by at most
+# kappa.  Reproduced by kappa_sparse_walk below and by the library's count;
+# frozen so a regression in either is caught.  The pure counts (largest jump
+# exactly kappa) are the differences of consecutive rows, with kappa 1 holding
+# only the root.
+KAPPA_LEVEL_SIZES = {
+    2: (
+        1, 1, 2, 3, 4, 6, 8, 11, 16, 21, 28, 39, 52, 71, 96, 129, 173, 231, 310, 414, 555, 742,
+        991, 1324, 1761, 2345, 3126, 4165, 5544, 7385, 9822, 13055, 17356, 23070, 30657, 40723,
+        54076,
+    ),
+    3: (
+        1, 1, 2, 4, 6, 9, 15, 23, 34, 52, 79, 117, 177, 266, 393, 586, 878, 1305, 1931, 2862,
+        4243, 6283, 9293, 13714, 20247, 29906, 44133, 65036, 95803,
+    ),
+    4: (
+        1, 1, 2, 4, 7, 11, 20, 31, 51, 80, 128, 204, 324, 503, 792, 1240, 1939, 3022, 4708, 7326,
+        11382, 17633, 27343, 42373, 65607,
+    ),
+    5: (
+        1, 1, 2, 4, 7, 12, 22, 36, 59, 98, 162, 261, 424, 680, 1101, 1770, 2841, 4535, 7243,
+        11558, 18409, 29272, 46571,
+    ),
+}
 
 
 def closure_violation(gaps: tuple[int, ...]) -> tuple[int, int] | None:
@@ -106,6 +132,26 @@ def first_member_run(gaps: tuple[int, ...], kappa: int) -> int | None:
             start = n - kappa + 1
             return start if start < conductor else None
     return None
+
+
+def kappa_sparse_walk(kappa: int, max_genus: int):
+    """Every kappa-sparse gap tuple of genus <= ``max_genus``, each exactly once, as raw tuples.
+
+    Kappa-sparse: each gap exceeds the one before it, or -1 for the first, by
+    at most kappa.  Filling the largest gap keeps a tuple kappa-sparse and its
+    complement closed, so every member grows from the one without its largest
+    gap: add a new largest gap x in (F, F + kappa], x >= 1, for F the largest
+    gap (-1 if none), and keep the tuple if ``complement_is_closed`` accepts it.
+    """
+    stack = [()]
+    while stack:
+        gaps = stack.pop()
+        yield gaps
+        if len(gaps) < max_genus:
+            top = gaps[-1] if gaps else -1
+            for x in range(max(top + 1, 1), top + kappa + 1):
+                if complement_is_closed(gaps + (x,)):
+                    stack.append(gaps + (x,))
 
 
 def brute_force_gap_sets(genus: int) -> list[tuple[int, ...]]:

@@ -29,7 +29,14 @@ from sparsegroup import (
 from sparsegroup import enumeration
 from sparsegroup.enumeration import EMITS, MODES, _arf_walk, _walk, members
 
-from oracle import ARF_LEVEL_SIZES, KNOWN_LEVEL_SIZES, PUBLISHED_LEVEL_SIZES, brute_force_gap_sets
+from oracle import (
+    ARF_LEVEL_SIZES,
+    KAPPA_LEVEL_SIZES,
+    KNOWN_LEVEL_SIZES,
+    PUBLISHED_LEVEL_SIZES,
+    brute_force_gap_sets,
+    kappa_sparse_walk,
+)
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -238,6 +245,35 @@ class TestLevelSize:
                 request = EnumerationRequest(genus, kappa_filter=kappa, mode=mode)
                 assert level_size(request) == sum(1 for _ in members(request)), (genus, kappa)
 
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("all", PUBLISHED_LEVEL_SIZES),
+            ("kappa_sparse", KAPPA_LEVEL_SIZES[3]),
+            ("pure_kappa_sparse", [a - b for a, b in zip(KAPPA_LEVEL_SIZES[3], KAPPA_LEVEL_SIZES[2])]),
+        ],
+    )
+    def test_builds_no_semigroup(self, monkeypatch, mode, expected):
+        """Not at genus 0 and 1, which have no level two up, nor at 2, counted from the root alone."""
+        built = []
+        unchecked = NumericalSemigroup._unchecked.__func__
+        init = NumericalSemigroup.__init__
+        monkeypatch.setattr(
+            NumericalSemigroup,
+            "_unchecked",
+            classmethod(lambda cls, gaps: built.append(gaps) or unchecked(cls, gaps)),
+        )
+        monkeypatch.setattr(
+            NumericalSemigroup, "__init__", lambda self, gaps: built.append(gaps) or init(self, gaps)
+        )
+        genera = (0, 1, 2, 3, 9)
+        counted = [level_size(EnumerationRequest(g, kappa_filter=3, mode=mode)) for g in genera]
+        assert built == []
+        assert counted == [expected[g] for g in genera]
+        NumericalSemigroup((1,))
+        NumericalSemigroup._unchecked((1, 2))
+        assert built == [(1,), (1, 2)]  # the patches see both constructions
+
     def test_pure_kappa_above_every_index_is_empty(self):
         for genus in range(15):
             top = max(index for depth, _, index in _walk(genus) if depth == genus)
@@ -245,6 +281,40 @@ class TestLevelSize:
                 request = EnumerationRequest(genus, kappa_filter=kappa, mode="pure_kappa_sparse")
                 streamed = sum(1 for _ in members(request))
                 assert level_size(request) == streamed and (streamed > 0) == nonempty, genus
+
+
+def jumps(gaps):
+    """Each gap minus the one before it, or -1 for the first."""
+    return [b - a for a, b in zip((-1,) + gaps, gaps)]
+
+
+class TestKappaLevelSizes:
+    """The kappa-sparse classes by genus, from the oracle walk and from ``level_size``."""
+
+    def test_oracle_walk_is_the_filtered_brute_force_levels(self):
+        for kappa in KAPPA_LEVEL_SIZES:
+            walked = Counter(kappa_sparse_walk(kappa, 7))
+            assert set(walked.values()) == {1}
+            expected = {
+                gaps for g in range(8) for gaps in brute_force_gap_sets(g) if max(jumps(gaps), default=0) <= kappa
+            }
+            assert set(walked) == expected
+
+    @pytest.mark.parametrize("kappa, depth", [(2, 28), (3, 20), (4, 17), (5, 16)])
+    def test_oracle_walk_matches_the_table(self, kappa, depth):
+        sizes = Counter(len(gaps) for gaps in kappa_sparse_walk(kappa, depth))
+        assert tuple(sizes[g] for g in range(depth + 1)) == KAPPA_LEVEL_SIZES[kappa][: depth + 1]
+
+    @pytest.mark.parametrize("kappa, depth", [(2, 32), (3, 26), (4, 22), (5, 20)])
+    def test_level_size_matches_the_table(self, kappa, depth):
+        counted = [level_size(EnumerationRequest(g, kappa, "kappa_sparse")) for g in range(depth + 1)]
+        assert tuple(counted) == KAPPA_LEVEL_SIZES[kappa][: depth + 1]
+
+    @pytest.mark.parametrize("kappa, depth", [(2, 32), (3, 26), (4, 22), (5, 20)])
+    def test_pure_level_size_is_the_difference_of_consecutive_rows(self, kappa, depth):
+        below = KAPPA_LEVEL_SIZES.get(kappa - 1, (1,) + (0,) * depth)  # kappa 1: the root alone
+        counted = [level_size(EnumerationRequest(g, kappa, "pure_kappa_sparse")) for g in range(depth + 1)]
+        assert counted == [KAPPA_LEVEL_SIZES[kappa][g] - below[g] for g in range(depth + 1)]
 
 
 class TestEnumerateKappaSparse:

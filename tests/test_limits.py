@@ -17,8 +17,8 @@ Linux), and as a gap line near the conductor cap.  The timeout leaves about
 ``classify`` near the cap, so a reintroduced quadratic path fails here
 instead of slowing the suite down.  The two ``enumerate`` runs at the default genus cap, the
 heaviest walks the command line does without ``--cap``, take under half a
-second each.  The count at genus 22 takes about 0.4 s, since it counts the
-last level from its parents; walking that level took about 0.6 s.
+second each.  The count at genus 22 takes about 0.2 s, since it counts the
+last level from the nodes two levels up; walking that level took about 0.6 s.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def test_census_at_the_default_cap():
 
 
 def test_count_at_genus_22():
-    """The 103246 semigroups of genus 22, counted from the 62194 nodes one level up, not walked."""
+    """The 103246 semigroups of genus 22, counted from the 37396 nodes two levels up, not walked."""
     result = run_cli("enumerate", "--genus", "22", "--count-only", "--cap", "22")
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{PUBLISHED_LEVEL_SIZES[22]}\n" == "103246\n"

@@ -294,22 +294,57 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         (("-c", "import sparsegroup"), set()),
         (("-c", "import sparsegroup.cli"), {"cli", "core"}),
         (("-m", "sparsegroup", "info", "--gaps", ""), {"cli", "core"}),
+        (("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"), {"cli", "core", "enumeration"}),
         (
-            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"),
+            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census"),
             {"cli", "core", "enumeration", "leaps"},
         ),
         (("-m", "sparsegroup", "leaps", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),
-        (("-m", "sparsegroup", "check", "--sparse", "--gaps", "1,2,4"), ALL_MODULES - {"enumeration"}),
+        (("-m", "sparsegroup", "check", "--sparse", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),
+        (("-m", "sparsegroup", "check", "--hyperelliptic", "--gaps", "1"), {"cli", "core", "leaps"}),
+        (("-m", "sparsegroup", "check", "--arf", "--gaps", "1,2,4"), {"cli", "core", "ideals"}),
+        (("-m", "sparsegroup", "check", "--kappa", "3", "--gaps", "1"), ALL_MODULES - {"enumeration"}),
         (("-m", "sparsegroup", "classify", "--gaps", "1,2,4"), ALL_MODULES - {"enumeration"}),
         (("-m", "sparsegroup", "verify", "--max-genus", "0"), ALL_MODULES | {"verify"}),
     ],
-    ids=["import", "import-cli", "info", "enumerate", "leaps", "check", "classify", "verify"],
+    ids=[
+        "import",
+        "import-cli",
+        "info",
+        "enumerate",
+        "census",
+        "leaps",
+        "check",
+        "check-hyperelliptic",
+        "check-arf",
+        "check-kappa",
+        "classify",
+        "verify",
+    ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     """``-X importtime`` lists every module a run imports; ``-S`` keeps ``site`` out of it."""
     imported = imported_modules("-S", *argv)
     assert "sparsegroup" in imported
     assert {name.split(".", 1)[1] for name in imported if name.startswith("sparsegroup.")} == loaded
+
+
+@pytest.mark.parametrize(
+    "argv, prints_json",
+    [
+        (("-c", "import sparsegroup.cli"), False),
+        (("-m", "sparsegroup", "info", "--gaps", ""), True),
+        (("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"), False),
+        (("-m", "sparsegroup", "enumerate", "--genus", "5", "--census", "--format", "tsv"), False),
+        (("-m", "sparsegroup", "enumerate", "--genus", "5", "--format", "tsv"), False),
+        (("-m", "sparsegroup", "enumerate", "--genus", "5"), True),
+        (("-m", "sparsegroup", "verify", "--max-genus", "0"), False),
+    ],
+    ids=["import-cli", "info", "enumerate-count", "census-tsv", "enumerate-tsv", "enumerate-json", "verify"],
+)
+def test_json_loads_only_where_json_is_printed(argv, prints_json):
+    """A run that prints no JSON does not import ``json``."""
+    assert ("json" in imported_modules("-S", *argv)) == prints_json
 
 
 def imported_modules(*argv: str) -> list[str]:

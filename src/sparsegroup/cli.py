@@ -45,7 +45,7 @@ def _inputs(args: argparse.Namespace) -> Iterator[tuple[str, Callable[[], Numeri
         try:
             with open(args.file, encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SemigroupError(f"--file {args.file}: {exc}") from None
         for number, line in enumerate(lines, start=1):
             yield f"--file {args.file} line {number}", partial(parse_gap_line, line)

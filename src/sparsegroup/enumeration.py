@@ -188,32 +188,34 @@ def _arf_walk(max_genus: int) -> list[tuple[int, tuple[int, ...], int]]:
     return [(len(gaps), gaps, 2 if gaps else 1) for gaps in sorted(found)]
 
 
-def _keep(request: EnumerationRequest) -> Callable[[int], bool] | None:
-    """The request's pruning test on the index, for ``_walk``: none outside the kappa modes.
+def _index_tests(request: EnumerationRequest) -> tuple[Callable[[int], bool] | None, ...]:
+    """``keep``, the request's pruning test on a node's index, and ``counted``, its member test.
 
-    Filling the largest gap keeps a semigroup kappa-sparse, so every ancestor
-    of a member is a member and the kappa modes prune at the first non-member.
+    ``None`` passes everything.  Filling the largest gap keeps a semigroup
+    kappa-sparse, so every ancestor of a member is a member: the kappa modes
+    prune at the first non-member, and the pure mode counts index == kappa.
     """
     if request.mode in ("all", "arf"):
-        return None
-    bound = request.kappa
-    return lambda index: index <= bound
-
-
-def _counted(request: EnumerationRequest) -> Callable[[int], bool] | None:
-    """The request's member test on a walked node's index: ``== kappa`` if pure, else ``_keep``."""
+        return None, None
     kappa = request.kappa
-    return (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else _keep(request)
+    keep = lambda index: index <= kappa
+    return keep, (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
 
 
-def _universe(request: EnumerationRequest) -> Iterable[tuple[int, tuple[int, ...], int]]:
-    """The walk over the request's universe.
-
-    Arf mode walks the Arf semigroups' own tree.  Pure members are picked from the walk.
-    """
+def _universe(request: EnumerationRequest) -> tuple[Iterable[tuple], Callable[[int], bool] | None]:
+    """The walk over the request's universe, a list in Arf mode, and its member test ``counted``."""
+    keep, counted = _index_tests(request)
     if request.mode == "arf":
-        return _arf_walk(request.max_genus)
-    return _walk(request.max_genus, _keep(request))
+        return _arf_walk(request.max_genus), counted
+    return _walk(request.max_genus, keep), counted
+
+
+def _level(request: EnumerationRequest) -> Iterator[tuple[int, ...]]:
+    """The gaps of the request's members of genus ``max_genus``, in walk order."""
+    walk, counted = _universe(request)
+    for depth, gaps, index in walk:
+        if depth == request.max_genus and (counted is None or counted(index)):
+            yield gaps
 
 
 def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
@@ -222,10 +224,7 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
     The class test runs only at that genus, never on the nodes above it, and
     only the members handed out are built as objects.
     """
-    counted = _counted(request)
-    for depth, gaps, index in _universe(request):
-        if depth == request.max_genus and (counted is None or counted(index)):
-            yield NumericalSemigroup._unchecked(gaps)
+    yield from map(NumericalSemigroup._unchecked, _level(request))
 
 
 def level_size(request: EnumerationRequest) -> int:
@@ -233,18 +232,13 @@ def level_size(request: EnumerationRequest) -> int:
 
     The walk stops two levels early: ``_tree`` counts each depth-``max_genus - 2``
     node's grandchildren from the generators of its children, which it never
-    stacks.  Genus 0 and 1 have no such level and are read off the walk.  Arf
-    mode counts the deepest entries of ``_arf_walk``.
+    stacks.  Genus 0 and 1, with no such level, and Arf mode, with its own
+    tree, count ``_level``.
     """
-    genus = request.max_genus
-    if request.mode == "arf":
-        return sum(depth == genus for depth, _, _ in _arf_walk(genus))
-    keep = _keep(request)
-    counted = _counted(request)
-    if genus < 2:
-        level = (index for depth, _, index in _walk(genus, keep) if depth == genus)
-        return sum(counted is None or counted(index) for index in level)
-    return sum(_tree(genus, keep, True, counted))
+    if request.mode == "arf" or request.max_genus < 2:
+        return sum(1 for _ in _level(request))
+    keep, counted = _index_tests(request)
+    return sum(_tree(request.max_genus, keep, True, counted))
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -284,22 +278,23 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     if profiles are emitted, else by its index.  A child's counts are its
     parent's with one jump added; their last position is the largest jump,
     the index (1 at the root, whose counts are empty).  Every column depends
-    on the key alone, so the member test ``_counted`` and the class tests run
-    once per distinct key, as each row is built after the walk.  The ``arf``
-    column counts the ``_arf_walk`` entries that pass the member test.
+    on the key alone, so the member test from ``_universe`` and the class tests
+    run once per distinct key, as each row is built after the walk.  The
+    ``arf`` column counts the ``_arf_walk`` entries that pass the member test;
+    in Arf mode that list is the walk itself.
     """
-    from .leaps import LeapProfile  # only the census builds profiles, so a count never loads leaps
-
-    counted = _counted(request)
     with_profiles = request.emit == "full"
-    arf_nodes = _arf_walk(request.max_genus)
+    if with_profiles:  # only a census with profiles builds them, so no count loads leaps
+        from .leaps import LeapProfile
+    walk, counted = _universe(request)
+    arf_nodes = walk if request.mode == "arf" else _arf_walk(request.max_genus)
     arf = Counter(depth for depth, _, index in arf_nodes if counted is None or counted(index))
     # The walk is preorder, so a node's parent is the last node yielded one
     # level up.  Slot d + 1 holds what the last node at depth d passes to its
     # children; slot 0 stands in for the root's parent.
     leap_slots: list[tuple[int, ...]] = [()] * (request.max_genus + 2)
     tallies: list[dict] = [{} for _ in range(request.max_genus + 1)]
-    for depth, gaps, key in arf_nodes if request.mode == "arf" else _universe(request):
+    for depth, gaps, key in walk:
         if with_profiles:
             key = leap_slots[depth]
             if depth:

@@ -48,9 +48,7 @@ def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
 
     k = 0 gives the semigroup itself; k >= 1 gives a proper ideal.
     """
-    if k < 0:
-        raise ValueError(f"member index must be non-negative, got {k}")
-    start = semigroup.element(k)
+    start = semigroup.element(k)  # refuses k < 0
     if start >= semigroup.conductor:
         return RelativeIdeal.from_members((), threshold=start)
     return RelativeIdeal.from_members(

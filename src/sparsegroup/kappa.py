@@ -6,7 +6,6 @@ from collections import namedtuple
 from operator import indexOf, sub
 
 from .core import NumericalSemigroup, SemigroupError, _check_conductor, _require_kappa
-from .ideals import is_arf_double
 from .leaps import Leap, is_hyperelliptic, leap_profile, max_leap_jump
 
 
@@ -46,30 +45,14 @@ def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via runs: no kappa consecutive members start below the conductor.
 
     The run's starting point must be a positive member below the conductor
-    c.  Such a run also ends below c, because c - 1 is a gap, so every mask
-    covers [0, c).  Only defined for kappa >= 2.
-    Bit x of ``starts`` is set when x, ..., x + kappa - 1 are all members.
-
-    Runs are built by doubling, O(log kappa) big-int operations: if ``run``
-    marks the starts of k consecutive members, ``run & (run >> k)`` marks
-    those of 2k, and ``starts`` collects one such block per binary digit of
-    kappa, each shifted past the blocks before it.
+    c.  Such a run also ends below c, because c - 1 is a gap, so it is kappa
+    adjacent ones in the mask of the positive members below c.  That mask
+    has at most c - 2 ones, so kappa >= c answers first, before the mask of
+    genus 0 (c = 0) could go negative.  Only defined for kappa >= 2.
     """
     _require_kappa(kappa, 2)
-    run = ((1 << semigroup.conductor) - 1) & ~semigroup.gap_mask  # runs of length 1
-    length = 1
-    starts = run & ~1  # candidate starts: the positive members below c
-    covered = 0  # run length that ``starts`` already checks
-    remaining = kappa
-    while True:
-        if remaining & 1:
-            starts &= run >> covered
-            covered += length
-        remaining >>= 1
-        if not remaining:
-            return not starts
-        run &= run >> length
-        length *= 2
+    c = semigroup.conductor
+    return kappa >= c or "1" * kappa not in bin(((1 << c) - 2) & ~semigroup.gap_mask)
 
 
 def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -160,6 +143,8 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
     every semigroup is pure for exactly one kappa, its sparseness index,
     read here off the leap profile as its largest jump.
     """
+    from .ideals import is_arf_double  # only classify runs an Arf test
+
     profile = leap_profile(semigroup)
     index = profile.max_jump or 1  # the full naturals have no leap and index 1
     sparse = index <= 2

@@ -100,6 +100,16 @@ class TestInfo:
         assert code == 2
         assert "line 2" in err
 
+    def test_a_file_that_is_not_utf8_is_named_and_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"1,2\n\xff\n")
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --file {path}: 'utf-8' codec can't decode byte 0xff in position 4:"
+            " invalid start byte\n"
+        )
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "info", "--gaps", "1,2,4")
         _, second, _ = run(capsys, "info", "--gaps", "1,2,4")

@@ -77,6 +77,11 @@ class TestIdealAt:
         assert tail.base == gs(1, 3).element(5)
         assert tail.members == ()
 
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError) as caught:
+            ideal_at(gs(1, 2, 4), -1)
+        assert str(caught.value) == "member index must be non-negative, got -1"
+
     def test_tail_ideals_absorb_the_semigroup(self, level):
         for g in range(5):
             for node in level(g):

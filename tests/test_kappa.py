@@ -101,6 +101,26 @@ class TestDecisionProcedures:
         expected = first_member_run(semigroup.gaps, kappa) is None
         assert is_kappa_sparse_run(semigroup, kappa) == expected
 
+    def test_member_run_is_true_from_the_conductor_on(self, level):
+        """No kappa members fit below the conductor c once kappa >= c, at genus 0 (c = 0) too."""
+        for kappa in range(2, 6):
+            assert is_kappa_sparse_run(gs(), kappa)
+        for g in range(1, 7):
+            for node in level(g):
+                for kappa in range(node.conductor, node.conductor + 3):
+                    assert is_kappa_sparse_run(node, kappa), (node.gaps, kappa)
+
+    def test_member_run_with_a_huge_kappa_builds_no_pattern(self):
+        """kappa = 10^12 exceeds the conductor 999998, so no pattern of kappa ones is built."""
+        assert is_kappa_sparse_run(NumericalSemigroup.from_generators((2, 999_999)), 10**12)
+
+    def test_member_run_at_conductor_one_million(self):
+        """Members 500000 .. 500005 are the one run below c = 10^6: six members long."""
+        semigroup = example_family(500_000, 7)
+        assert semigroup.conductor == 10**6
+        assert not is_kappa_sparse_run(semigroup, 6)
+        assert is_kappa_sparse_run(semigroup, 7)
+
     def test_four_way_agreement_exhaustive(self, level):
         for g in range(9):
             for node in level(g):

@@ -299,11 +299,26 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census"),
             {"cli", "core", "enumeration", "leaps"},
         ),
+        (
+            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census", "--format", "tsv"),
+            {"cli", "core", "enumeration"},
+        ),
+        (
+            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census", "--count-only"),
+            {"cli", "core", "enumeration"},
+        ),
         (("-m", "sparsegroup", "leaps", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),
         (("-m", "sparsegroup", "check", "--sparse", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),
         (("-m", "sparsegroup", "check", "--hyperelliptic", "--gaps", "1"), {"cli", "core", "leaps"}),
         (("-m", "sparsegroup", "check", "--arf", "--gaps", "1,2,4"), {"cli", "core", "ideals"}),
-        (("-m", "sparsegroup", "check", "--kappa", "3", "--gaps", "1"), ALL_MODULES - {"enumeration"}),
+        (
+            ("-m", "sparsegroup", "check", "--kappa", "3", "--gaps", "1"),
+            {"cli", "core", "kappa", "leaps"},
+        ),
+        (
+            ("-m", "sparsegroup", "check", "--pure", "2", "--gaps", "1"),
+            {"cli", "core", "kappa", "leaps"},
+        ),
         (("-m", "sparsegroup", "classify", "--gaps", "1,2,4"), ALL_MODULES - {"enumeration"}),
         (("-m", "sparsegroup", "verify", "--max-genus", "0"), ALL_MODULES | {"verify"}),
     ],
@@ -313,11 +328,14 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         "info",
         "enumerate",
         "census",
+        "census-tsv",
+        "census-count",
         "leaps",
         "check",
         "check-hyperelliptic",
         "check-arf",
         "check-kappa",
+        "check-pure",
         "classify",
         "verify",
     ],

@@ -11,28 +11,19 @@ from functools import partial
 # the rest of what it runs, ``json`` included, and the parser needs nothing else.
 from .core import (
     DEFAULT_GENUS_CAP,
+    InvalidGenerator,
     LimitExceeded,
     NumericalSemigroup,
     SemigroupError,
+    _parse_int_list,
     _require_kappa,
     format_gap_line,
     parse_gap_line,
 )
 
-CENSUS_COLUMNS = ("genus", "total", "arf", "sparse", "kappa_sparse", "pure_kappa_sparse")
-
 
 def _profile_json(profile) -> dict[str, int]:
     return {str(jump): count for jump, count in profile.counts}
-
-
-def _parse_generators(text: str) -> NumericalSemigroup:
-    """A ``--generators`` list; an unparsable token is a SemigroupError, labelled like the rest."""
-    try:
-        values = [int(token) for token in text.split(",")] if text.strip() else []
-    except ValueError as exc:
-        raise SemigroupError(str(exc)) from None
-    return NumericalSemigroup.from_generators(values)
 
 
 def _inputs(args: argparse.Namespace) -> Iterator[tuple[str, Callable[[], NumericalSemigroup]]]:
@@ -40,11 +31,12 @@ def _inputs(args: argparse.Namespace) -> Iterator[tuple[str, Callable[[], Numeri
     if args.gaps is not None:
         yield f"--gaps {args.gaps!r}", partial(parse_gap_line, args.gaps)
     elif args.generators is not None:
-        yield f"--generators {args.generators!r}", partial(_parse_generators, args.generators)
+        values = partial(_parse_int_list, args.generators, InvalidGenerator, "generator list")
+        yield f"--generators {args.generators!r}", lambda: NumericalSemigroup.from_generators(values())
     else:
-        try:
+        try:  # a leading byte-order mark is read past, and a decode error keeps its byte offset
             with open(args.file, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+                lines = handle.read().removeprefix("\ufeff").splitlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise SemigroupError(f"--file {args.file}: {exc}") from None
         for number, line in enumerate(lines, start=1):
@@ -64,13 +56,6 @@ def _print_reports(args: argparse.Namespace, report: Callable[[NumericalSemigrou
             raise SemigroupError(f"{label}: {exc}") from None
     for text in reports:
         print(text)
-
-
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gaps", help="comma-separated gaps, in any order ('' for the full naturals)")
-    group.add_argument("--generators", help="comma-separated generators with gcd 1")
-    group.add_argument("--file", help="gap-list text file, one semigroup per line")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -144,21 +129,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_rows_json(rows: list, with_profiles: bool) -> list[dict]:
-    out = []
-    for row in rows:
-        record = {"genus": row.genus, "total": row.total, **row.per_class}
-        if with_profiles:
-            record["profiles"] = [
-                {"profile": _profile_json(profile), "count": count}
-                for profile, count in sorted(
-                    row.profile_histogram.items(), key=lambda kv: kv[0].counts
-                )
-            ]
-        out.append(record)
-    return out
-
-
 def _check_genus_cap(genus: int, cap: int) -> None:
     """Refuse a walk deeper than ``cap``; a negative genus is left for ``EnumerationRequest``."""
     if 0 <= genus and cap < genus:
@@ -188,15 +158,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         emit="count_only" if args.count_only or args.format == "tsv" else "full",
     )
     if args.census:
-        rows = census(request)
-        if args.format == "tsv":
-            print("\t".join(CENSUS_COLUMNS))
-            for row in rows:
-                cells = [row.genus, row.total] + [row.per_class[c] for c in CENSUS_COLUMNS[2:]]
-                print("\t".join(str(cell) for cell in cells))
+        records = []
+        for row in census(request):
+            record = {"genus": row.genus, "total": row.total, **row.per_class}
+            if request.emit == "full":
+                record["profiles"] = [
+                    {"profile": _profile_json(profile), "count": count}
+                    for profile, count in sorted(
+                        row.profile_histogram.items(), key=lambda kv: kv[0].counts
+                    )
+                ]
+            records.append(record)
+        if args.format == "tsv":  # the same columns as the JSON records, which add no profiles here
+            print("\t".join(records[0]))
+            for record in records:
+                print("\t".join(map(str, record.values())))
         else:
             import json
-            print(json.dumps(_census_rows_json(rows, with_profiles=request.emit == "full")))
+            print(json.dumps(records))
         return 0
 
     if args.count_only:
@@ -237,27 +216,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", help="derived quantities as a JSON object")
-    _add_input_options(p_info)
-    p_info.set_defaults(handler=_cmd_info)
-
-    p_check = sub.add_parser("check", help="decide one class predicate (exit 0 iff it holds)")
-    _add_input_options(p_check)
-    predicate = p_check.add_mutually_exclusive_group(required=True)
+    for name, handler, summary in (
+        ("info", _cmd_info, "derived quantities as a JSON object"),
+        ("check", _cmd_check, "decide one class predicate (exit 0 iff it holds)"),
+        ("leaps", _cmd_leaps, "leap profile as JSON plus leap pairs as TSV"),
+        ("classify", _cmd_classify, "full classification report as JSON"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        source = command.add_mutually_exclusive_group(required=True)
+        source.add_argument("--gaps", help="comma-separated gaps, in any order ('' for the full naturals)")
+        source.add_argument("--generators", help="comma-separated generators with gcd 1")
+        source.add_argument("--file", help="gap-list text file, one semigroup per line")
+        command.set_defaults(handler=handler)
+    predicate = sub.choices["check"].add_mutually_exclusive_group(required=True)
     predicate.add_argument("--arf", action="store_true", help="Arf property")
     predicate.add_argument("--sparse", action="store_true", help="gap jumps at most 2")
     predicate.add_argument("--hyperelliptic", action="store_true", help="2 is a member")
     predicate.add_argument("--kappa", type=int, metavar="K", help="gap jumps at most K")
     predicate.add_argument("--pure", type=int, metavar="K", help="pure K-sparse membership")
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_leaps = sub.add_parser("leaps", help="leap profile as JSON plus leap pairs as TSV")
-    _add_input_options(p_leaps)
-    p_leaps.set_defaults(handler=_cmd_leaps)
-
-    p_classify = sub.add_parser("classify", help="full classification report as JSON")
-    _add_input_options(p_classify)
-    p_classify.set_defaults(handler=_cmd_classify)
 
     p_enum = sub.add_parser("enumerate", help="list or count semigroups of a given genus")
     p_enum.add_argument("--genus", type=int, required=True, metavar="G")

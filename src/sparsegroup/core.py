@@ -282,8 +282,8 @@ class NumericalSemigroup(_Value):
             if gapmask.bit_length() <= width - lowest or width == limit:
                 break
             width = min(2 * width, limit)
-        conductor = gapmask.bit_length()
-        if conductor > width - lowest or conductor > DEFAULT_MAX_CONDUCTOR:
+        conductor = gapmask.bit_length()  # above the cap also when the window stopped there unclosed
+        if conductor > DEFAULT_MAX_CONDUCTOR:
             raise LimitExceeded(
                 f"semigroup generated by {list(values)} has conductor above the cap {DEFAULT_MAX_CONDUCTOR}"
             )
@@ -401,16 +401,18 @@ def ordinary(genus: int) -> NumericalSemigroup:
     return NumericalSemigroup._unchecked(tuple(range(1, genus + 1)))
 
 
+def _parse_int_list(text: str, error: type[SemigroupError], what: str) -> list[int]:
+    """The comma-separated integers of ``text``, none if it is blank, or ``error`` naming it."""
+    text = text.strip()
+    try:
+        return list(map(int, text.split(","))) if text else []
+    except ValueError as exc:
+        raise error(f"cannot parse {what} {text!r}: {exc}") from None
+
+
 def parse_gap_line(line: str) -> NumericalSemigroup:
     """Parse one line of the gap-list text format; an empty line is the full naturals."""
-    text = line.strip()
-    if not text:
-        return NumericalSemigroup(())
-    try:
-        values = list(map(int, text.split(",")))
-    except ValueError as exc:
-        raise InvalidGap(f"cannot parse gap list {text!r}: {exc}") from None
-    return NumericalSemigroup.from_gaps(values)
+    return NumericalSemigroup.from_gaps(_parse_int_list(line, InvalidGap, "gap list"))
 
 
 def format_gap_line(semigroup: NumericalSemigroup) -> str:

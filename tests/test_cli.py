@@ -84,12 +84,24 @@ class TestInfo:
         assert code == 2
         assert "1,3,4" in err
 
-    @pytest.mark.parametrize("text, token", [("1,x", "'x'"), ("1,,3", "''"), ("2.5", "'2.5'")])
-    def test_unparsable_gap_list_names_the_token(self, capsys, text, token):
-        code, out, err = run(capsys, "info", "--gaps", text)
+    @pytest.mark.parametrize(
+        "flag, text, token",
+        [
+            ("--gaps", "1,x", "'x'"),
+            ("--gaps", "1,,3", "''"),
+            ("--gaps", "2.5", "'2.5'"),
+            ("--generators", "3,,5", "''"),
+            ("--generators", "x", "'x'"),
+        ],
+        ids=["1,x-'x'", "1,,3-''", "2.5-'2.5'", "generators-3,,5-''", "generators-x-'x'"],
+    )
+    def test_unparsable_gap_list_names_the_token(self, capsys, flag, text, token):
+        """Both lists are parsed by one function, so both errors carry the same frame."""
+        what = {"--gaps": "gap list", "--generators": "generator list"}[flag]
+        code, out, err = run(capsys, "info", flag, text)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: --gaps {text!r}: cannot parse gap list {text!r}: "
+            f"error: {flag} {text!r}: cannot parse {what} {text!r}: "
             f"invalid literal for int() with base 10: {token}\n"
         )
 
@@ -107,6 +119,25 @@ class TestInfo:
         assert (code, out) == (2, "")
         assert err == (
             f"error: --file {path}: 'utf-8' codec can't decode byte 0xff in position 4:"
+            " invalid start byte\n"
+        )
+
+    def test_a_leading_byte_order_mark_is_read_past(self, capsys, tmp_path):
+        """A UTF-8 file that starts with a byte-order mark prints what the same file without it prints."""
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"1,2,4\n\n1,3\n1,2,3,7\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        code, out, err = run(capsys, "classify", "--file", str(plain))
+        assert (code, len(out.splitlines()), err) == (0, 4, "")
+        assert run(capsys, "classify", "--file", str(marked)) == (code, out, err)
+
+    def test_a_decode_error_after_a_byte_order_mark_names_its_byte_offset(self, capsys, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n\xff\n")
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --file {path}: 'utf-8' codec can't decode byte 0xff in position 7:"
             " invalid start byte\n"
         )
 

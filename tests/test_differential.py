@@ -148,18 +148,23 @@ def test_from_generators_matches_the_saturated_sums(generators):
 @EXAMPLES
 @given(generator_sets())
 def test_from_generators_accepts_the_conductor_as_cap_and_rejects_one_less(generators):
+    """Refused with one text at one less, and where the window stops before it closes.
+
+    With the cap c - m - 1 the window stops at c, so its top m numbers hold the gap c - 1.
+    """
     semigroup = NumericalSemigroup.from_generators(generators)
-    cap = semigroup.conductor
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "DEFAULT_MAX_CONDUCTOR", cap)
-        assert NumericalSemigroup.from_generators(generators) == semigroup
-        patch.setattr(core, "DEFAULT_MAX_CONDUCTOR", cap - 1)
-        with pytest.raises(LimitExceeded) as excinfo:
-            NumericalSemigroup.from_generators(generators)
     values = sorted(set(generators))
-    assert str(excinfo.value) == (
-        f"semigroup generated by {values} has conductor above the cap {cap - 1}"
-    )
+    conductor = semigroup.conductor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "DEFAULT_MAX_CONDUCTOR", conductor)
+        assert NumericalSemigroup.from_generators(generators) == semigroup
+        for cap in (conductor - 1, conductor - semigroup.multiplicity - 1):
+            patch.setattr(core, "DEFAULT_MAX_CONDUCTOR", cap)
+            with pytest.raises(LimitExceeded) as excinfo:
+                NumericalSemigroup.from_generators(generators)
+            assert str(excinfo.value) == (
+                f"semigroup generated by {values} has conductor above the cap {cap}"
+            )
 
 
 @EXAMPLES

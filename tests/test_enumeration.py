@@ -99,6 +99,12 @@ class TestWalk:
         walked = sum(1 for _ in _walk(20, lambda index: calls.append(index) or index <= 3))
         assert (len(calls), walked) == (32793, 12984)
 
+    @pytest.mark.parametrize("count", [False, True])
+    def test_a_keep_that_refuses_the_root_walks_nothing(self, count):
+        calls = []
+        assert list(enumeration._tree(5, lambda index: calls.append(index) or False, count)) == []
+        assert calls == [1]
+
     def test_keep_sees_the_root_and_every_candidate_child(self):
         """The root, then per expanded node in preorder each child's index, by descending x."""
         for kappa in (2, 3):

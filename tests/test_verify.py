@@ -4,8 +4,10 @@ import pytest
 
 import sparsegroup.leaps
 import sparsegroup.verify
-from sparsegroup import enumerate_genus
+from sparsegroup import NumericalSemigroup, enumerate_genus
 from sparsegroup.cli import main
+from sparsegroup.enumeration import children
+from sparsegroup.leaps import LeapProfile
 from sparsegroup.verify import CheckResult, run_checks
 
 # Every family, in run order, with its instance count over the census to genus 6.
@@ -64,6 +66,141 @@ def test_tree_roundtrip_catches_a_missing_node():
     result = sparsegroup.verify._tree_roundtrip(levels)
     assert result.counterexample == "genus 3: 3 nodes, but genus 2 has 4 children"
     assert result.instances == 5
+
+
+def real(max_genus):
+    return [list(enumerate_genus(g)) for g in range(max_genus + 1)]
+
+
+def crafted(*gaps):
+    """One level of one gap tuple, built without validation, so it need not be a semigroup."""
+    return [[NumericalSemigroup._unchecked(gaps)]]
+
+
+def test_tree_roundtrip_catches_a_duplicate():
+    levels = real(2)
+    levels[2].append(levels[2][0])
+    result = sparsegroup.verify._tree_roundtrip(levels)
+    assert result == CheckResult("tree-parent-roundtrip", 3, "duplicates at genus 2")
+
+
+def test_tree_roundtrip_catches_a_node_that_does_not_revalidate():
+    levels = real(2)
+    levels[2][-1] = NumericalSemigroup._unchecked((2, 3))
+    result = sparsegroup.verify._tree_roundtrip(levels)
+    assert result == CheckResult(
+        "tree-parent-roundtrip", 4, "gaps=[2, 3]: 1 and 1 are non-gaps but their sum 2 is a gap"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, patches, levels, counterexample, instances",
+    [
+        pytest.param(
+            "_tree_roundtrip",
+            {"children": lambda node: (node,) * len(children(node))},
+            real(1),
+            "gaps=[1] is not a child of gaps=[]",
+            2,
+            id="not-a-child",
+        ),
+        pytest.param(
+            "_arf_implies_sparse",
+            {"sparseness_index": lambda node: 3},
+            real(0),
+            "gaps=[]: Arf but index 3",
+            1,
+            id="arf-but-not-sparse",
+        ),
+        pytest.param(
+            "_hyperelliptic_leap_shape",
+            {"is_hyperelliptic": lambda node: False},
+            real(1),
+            "gaps=[1]: v1 mismatch",
+            1,
+            id="v1-mismatch",
+        ),
+        pytest.param(
+            "_hyperelliptic_leap_shape",
+            {},
+            crafted(1, 4),
+            "gaps=[1, 4]: profile not all-double",
+            1,
+            id="not-all-double",
+        ),
+        pytest.param(
+            "_hyperelliptic_leap_shape",
+            {},
+            crafted(1, 2, 6),
+            "gaps=[1, 2, 6]: jump 4 above genus",
+            1,
+            id="jump-above-genus",
+        ),
+        pytest.param(
+            "_unit_and_ordinary_signatures",
+            {},
+            crafted(2, 3),
+            "gaps=[2, 3]: v2 zero test",
+            1,
+            id="v2-zero",
+        ),
+        pytest.param(
+            "_unit_and_ordinary_signatures",
+            {},
+            crafted(2, 4),
+            "gaps=[2, 4]: v2 vs 1-membership",
+            1,
+            id="v2-vs-1",
+        ),
+        pytest.param(
+            "_unit_and_ordinary_signatures",
+            {"ordinary": lambda genus: NumericalSemigroup(())},
+            real(1),
+            "gaps=[1]: ordinary signature mismatch",
+            2,
+            id="ordinary-signature",
+        ),
+        pytest.param(
+            "_sparse_leap_identities",
+            {"is_sparse": lambda node: False},
+            real(0),
+            "gaps=[]: count form",
+            1,
+            id="count-form",
+        ),
+        pytest.param(
+            "_sparse_leap_identities",
+            {"leap_profile": lambda node: LeapProfile(((1, node.genus),))},
+            crafted(1),
+            "gaps=[1]: Frobenius form",
+            1,
+            id="frobenius-form",
+        ),
+        pytest.param(
+            "_pure_classes_partition",
+            # every verdict agrees with an index outside 1..genus+2, so only the level sum fails
+            {"sparseness_index": lambda node: 0, "is_pure_kappa_sparse": lambda node, kappa: False},
+            real(0),
+            "genus 0: pure classes sum to 0, total 1",
+            2,
+            id="pure-sum",
+        ),
+        pytest.param(
+            "_pruned_equals_filtered",
+            {"enumerate_kappa_sparse": lambda genus, kappa: ()},
+            real(0),
+            "genus=0 kappa=2: 0 pruned vs 1 filtered",
+            1,
+            id="pruned-vs-filtered",
+        ),
+    ],
+)
+def test_each_counterexample_text(monkeypatch, family, patches, levels, counterexample, instances):
+    """A patched reader or a crafted level reaches the branch; the first failure stops the family."""
+    for name, value in patches.items():
+        monkeypatch.setattr(sparsegroup.verify, name, value)
+    result = getattr(sparsegroup.verify, family)(levels)
+    assert (result.counterexample, result.instances) == (counterexample, instances)
 
 
 def test_run_checks_respects_the_genus_cap():

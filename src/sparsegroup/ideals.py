@@ -96,13 +96,18 @@ def is_arf_definition(semigroup: NumericalSemigroup) -> bool:
     """Arf test by the triple condition n_i + n_j - n_k a member, k <= j <= i.
 
     Indices run over the members up to the conductor; larger ones add nothing.
+    Each difference is at least 0, so it is a member when it reaches the
+    conductor c or is one of the members below c.
     """
     small = semigroup.small_elements
+    c = semigroup.conductor
+    members = set(small)
     for i in range(len(small)):
         for j in range(i + 1):
             pair_sum = small[i] + small[j]
             for k in range(j + 1):
-                if (pair_sum - small[k]) not in semigroup:
+                n = pair_sum - small[k]
+                if n < c and n not in members:
                     return False
     return True
 

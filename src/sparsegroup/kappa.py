@@ -13,15 +13,21 @@ class InvalidParameters(SemigroupError):
     """Parameters outside the defining range of the two-block family."""
 
 
+# Each decider tests its kappa inline and calls ``_require_kappa``, the one
+# holder of the error text, only to raise: verify calls them per (node, kappa).
+
+
 def is_kappa_sparse_profile(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via the profile: leaps with jump <= kappa account for the genus."""
-    _require_kappa(kappa, 1)
+    if type(kappa) is not int or kappa < 1:
+        _require_kappa(kappa, 1)
     return leap_profile(semigroup).count_up_to(kappa) == semigroup.genus
 
 
 def is_kappa_sparse_gapdiff(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via gap spacing: consecutive gaps differ by at most kappa."""
-    _require_kappa(kappa, 1)
+    if type(kappa) is not int or kappa < 1:
+        _require_kappa(kappa, 1)
     return max_leap_jump(semigroup) <= kappa
 
 
@@ -35,7 +41,8 @@ def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
 
     Only defined for kappa >= 2; the quantifier range degenerates at kappa = 1.
     """
-    _require_kappa(kappa, 2)
+    if type(kappa) is not int or kappa < 2:
+        _require_kappa(kappa, 2)
     small = semigroup.small_elements
     # small[j + kappa - 1] - small[j] for each window of kappa members; none if there are fewer
     return min(map(sub, small[kappa - 1 :], small), default=kappa) >= kappa
@@ -48,11 +55,21 @@ def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
     c.  Such a run also ends below c, because c - 1 is a gap, so it is kappa
     adjacent ones in the mask of the positive members below c.  That mask
     has at most c - 2 ones, so kappa >= c answers first, before the mask of
-    genus 0 (c = 0) could go negative.  Only defined for kappa >= 2.
+    genus 0 (c = 0) could go negative.  Only defined for kappa >= 2.  The
+    string of the mask's binary digits is spelled once per object and kept
+    in the instance ``__dict__``, as the leap profile is.
     """
-    _require_kappa(kappa, 2)
+    if type(kappa) is not int or kappa < 2:
+        _require_kappa(kappa, 2)
     c = semigroup.conductor
-    return kappa >= c or "1" * kappa not in bin(((1 << c) - 2) & ~semigroup.gap_mask)
+    if kappa >= c:
+        return True
+    memo = semigroup.__dict__
+    try:
+        digits = memo["_member_digits"]
+    except KeyError:
+        digits = memo["_member_digits"] = bin(((1 << c) - 2) & ~semigroup.gap_mask)
+    return "1" * kappa not in digits
 
 
 def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -60,7 +77,8 @@ def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
 
     kappa = 1 denotes the unit class containing only the full naturals.
     """
-    _require_kappa(kappa, 1)
+    if type(kappa) is not int or kappa < 1:
+        _require_kappa(kappa, 1)
     if kappa == 1:
         return semigroup.genus == 0
     return is_kappa_sparse(semigroup, kappa) and leap_profile(semigroup).v(kappa) != 0
@@ -93,7 +111,8 @@ def frobenius_identity_check(semigroup: NumericalSemigroup, kappa: int) -> bool:
 
     Equivalent to the kappa-sparse property for positive genus.
     """
-    _require_kappa(kappa, 2)
+    if type(kappa) is not int or kappa < 2:
+        _require_kappa(kappa, 2)
     g = semigroup.genus
     if g == 0:
         raise ValueError("positive genus required")

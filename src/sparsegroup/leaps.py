@@ -49,17 +49,28 @@ class LeapProfile(_Value):
         """Largest jump present; 0 for the empty profile."""
         return self.counts[-1][0] if self.counts else 0
 
+    # The truncated sums are plain loops that stop at the first jump above kappa,
+    # as the ascending order allows: the deciders call them per (semigroup, kappa).
+
     def count_up_to(self, kappa: int) -> int:
         """Number of leaps with jump at most ``kappa``."""
-        return sum(count for jump, count in self.counts if jump <= kappa)
+        total = 0
+        for jump, count in self.counts:
+            if jump > kappa:
+                break
+            total += count
+        return total
 
     def weighted_total(self, kappa: int | None = None) -> int:
         """Sum of jump * count over jumps at most ``kappa`` (all jumps if None)."""
-        return sum(
-            jump * count
-            for jump, count in self.counts
-            if kappa is None or jump <= kappa
-        )
+        if kappa is None:
+            kappa = self.max_jump
+        total = 0
+        for jump, count in self.counts:
+            if jump > kappa:
+                break
+            total += jump * count
+        return total
 
 
 def leap_set(semigroup: NumericalSemigroup) -> tuple[Leap, ...]:
@@ -84,7 +95,8 @@ def _scan_largest_jump(semigroup: NumericalSemigroup) -> int:
 # Each statistic is memoized in the instance ``__dict__``, as ``cached_property``
 # does for ``small_elements``.  Each key is filled only by its own pass, so the
 # gap-spacing decider never reads the profile and the profile-sum decider never
-# reads the jump.
+# reads the jump.  A hit is one lookup in a ``try``, since the deciders read
+# them once per (semigroup, kappa).
 
 
 def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:
@@ -94,10 +106,11 @@ def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:
     return it without rescanning.
     """
     memo = semigroup.__dict__
-    profile = memo.get("_leap_profile")
-    if profile is None:
+    try:
+        return memo["_leap_profile"]
+    except KeyError:
         profile = memo["_leap_profile"] = _count_jumps(semigroup)
-    return profile
+        return profile
 
 
 def max_leap_jump(semigroup: NumericalSemigroup) -> int:
@@ -107,10 +120,11 @@ def max_leap_jump(semigroup: NumericalSemigroup) -> int:
     profile's memo: it is never read off the profile.
     """
     memo = semigroup.__dict__
-    best = memo.get("_max_leap_jump")
-    if best is None:
+    try:
+        return memo["_max_leap_jump"]
+    except KeyError:
         best = memo["_max_leap_jump"] = _scan_largest_jump(semigroup)
-    return best
+        return best
 
 
 def frobenius_from_profile(profile: LeapProfile) -> int:

@@ -166,18 +166,18 @@ def _unit_and_ordinary_signatures(levels: Levels) -> Instances:
 
 @_family("sparse-leap-identities")
 def _sparse_leap_identities(levels: Levels) -> Instances:
-    """Sparse iff single+double leaps fill the genus; then the Frobenius identities hold."""
+    """Sparse iff single+double leaps fill the genus; then the Frobenius number is v1 + 2 v2 - 1.
+
+    The K form, v1 = K - 1 and v2 = genus - K + 1 for K = 2 genus - frobenius,
+    follows from these two, so it is not checked again.
+    """
     for node in _nodes(levels):
         profile = leap_profile(node)
         sparse = is_sparse(node)
-        K = 2 * node.genus - node.frobenius
-        k_form = profile.v(1) == K - 1 and profile.v(2) == node.genus - K + 1
         if sparse != (profile.v(1) + profile.v(2) == node.genus):
             yield f"{_gapstr(node)}: count form"
         elif sparse and node.frobenius != profile.v(1) + 2 * profile.v(2) - 1:
             yield f"{_gapstr(node)}: Frobenius form"
-        elif node.genus > 0 and sparse != k_form:
-            yield f"{_gapstr(node)}: K form"
         else:
             yield None
 
@@ -187,14 +187,11 @@ def _kappa_deciders_agree(levels: Levels) -> Instances:
     """The four kappa-sparse procedures agree for every kappa in [2, genus + 2]."""
     for node in _nodes(levels):
         for kappa in range(2, node.genus + 3):
-            results = (
-                is_kappa_sparse_profile(node, kappa),
-                is_kappa_sparse_gapdiff(node, kappa),
-                is_kappa_sparse_nongap(node, kappa),
-                is_kappa_sparse_run(node, kappa),
-            )
-            agree = len(set(results)) == 1
-            yield None if agree else f"{_gapstr(node)} kappa={kappa}: {results}"
+            a = is_kappa_sparse_profile(node, kappa)
+            b = is_kappa_sparse_gapdiff(node, kappa)
+            c = is_kappa_sparse_nongap(node, kappa)
+            d = is_kappa_sparse_run(node, kappa)
+            yield None if a == b == c == d else f"{_gapstr(node)} kappa={kappa}: {(a, b, c, d)}"
 
 
 @_family("frobenius-equals-weighted-leaps")
@@ -243,11 +240,18 @@ def _pure_classes_partition(levels: Levels) -> Instances:
 
 @_family("kappa-chain-strict")
 def _kappa_chain_strict(levels: Levels) -> Instances:
-    """Classes grow with kappa, strictly: each step has an explicit witness."""
+    """Classes grow with kappa, strictly: each step has an explicit witness.
+
+    Each node's verdict at kappa + 1 is carried to the next step, so every
+    (node, kappa) is decided once.
+    """
     for node in _nodes(levels):
+        inside = is_kappa_sparse(node, 1)
         for kappa in range(1, node.genus + 3):
-            grows = not is_kappa_sparse(node, kappa) or is_kappa_sparse(node, kappa + 1)
+            above = is_kappa_sparse(node, kappa + 1)
+            grows = above or not inside
             yield None if grows else f"{_gapstr(node)}: in class {kappa} but not {kappa + 1}"
+            inside = above
     for kappa in range(1, KAPPA_LIMIT + 1):
         witness = NumericalSemigroup((1,)) if kappa == 1 else example_family(kappa + 1, kappa + 1)
         strict = is_kappa_sparse(witness, kappa + 1) and not is_kappa_sparse(witness, kappa)
@@ -256,14 +260,23 @@ def _kappa_chain_strict(levels: Levels) -> Instances:
 
 @_family("intersection-stays-in-class")
 def _intersection_stays_in_class(levels: Levels) -> Instances:
-    """Intersecting two kappa-sparse semigroups stays in the class (kappa in 2..4)."""
-    pool = list(_nodes(levels[: PAIR_GENUS + 1]))
-    for kappa in (2, 3, 4):
-        members = [node for node in pool if is_kappa_sparse(node, kappa)]
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                stays = is_kappa_sparse(a.intersect(b), kappa)
-                yield None if stays else f"{_gapstr(a)} meet {_gapstr(b)} leaves class {kappa}"
+    """Intersecting two kappa-sparse semigroups stays in the class (kappa in 2..4).
+
+    Each pair's meet is built once and tested at every kappa whose class
+    holds both semigroups.
+    """
+    pool = [
+        (node, [kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)])
+        for node in _nodes(levels[: PAIR_GENUS + 1])
+    ]
+    for i, (a, a_classes) in enumerate(pool):
+        for b, b_classes in pool[i:]:
+            both = [kappa for kappa in a_classes if kappa in b_classes]
+            if both:
+                meet = a.intersect(b)
+                for kappa in both:
+                    stays = is_kappa_sparse(meet, kappa)
+                    yield None if stays else f"{_gapstr(a)} meet {_gapstr(b)} leaves class {kappa}"
 
 
 @_family("adjunction-stays-in-class")

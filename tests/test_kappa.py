@@ -67,6 +67,25 @@ class TestDecisionProcedures:
         with pytest.raises(ValueError):
             procedure(gs(1), 1)
 
+    @pytest.mark.parametrize(
+        "procedure, minimum",
+        [
+            (is_kappa_sparse_profile, 1),
+            (is_kappa_sparse_gapdiff, 1),
+            (is_kappa_sparse, 1),
+            (is_kappa_sparse_nongap, 2),
+            (is_kappa_sparse_run, 2),
+            (is_pure_kappa_sparse, 1),
+            (frobenius_identity_check, 2),
+        ],
+    )
+    @pytest.mark.parametrize("below", [True, 2.0, "minimum - 1"])
+    def test_every_decider_refuses_kappa_with_one_text(self, procedure, minimum, below):
+        kappa = minimum - 1 if below == "minimum - 1" else below
+        with pytest.raises(ValueError) as refused:
+            procedure(gs(1, 2, 3, 7), kappa)
+        assert str(refused.value) == f"kappa must be an integer >= {minimum}, got {kappa!r}"
+
     def test_member_spacing_at_and_past_its_last_window(self, level):
         """With span = conductor - genus, kappa = span + 1 leaves one window, 0 to the conductor.
 

@@ -13,6 +13,7 @@ from sparsegroup import (
     is_hyperelliptic,
     is_kappa_sparse_gapdiff,
     is_kappa_sparse_profile,
+    is_kappa_sparse_run,
     is_sparse,
     leap_profile,
     leap_set,
@@ -77,6 +78,41 @@ class TestLeapProfile:
         assert p.count_up_to(2) == 3
         assert p.weighted_total() == 8
         assert p.weighted_total(2) == 4
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+
+
+class TestTruncatedSums:
+    """The early-stopping loops against the generator sums they replaced."""
+
+    @staticmethod
+    def count_by_sum(counts, kappa):
+        return sum(count for jump, count in counts if jump <= kappa)
+
+    @staticmethod
+    def weighted_by_sum(counts, kappa=None):
+        return sum(jump * count for jump, count in counts if kappa is None or jump <= kappa)
+
+    def test_match_the_sums_on_every_profile_to_genus_twelve(self, level):
+        for g in range(13):
+            for p in {leap_profile(node) for node in level(g)}:
+                assert p.weighted_total() == self.weighted_by_sum(p.counts)
+                for kappa in (*range(-1, g + 4), None):
+                    assert _outcome(lambda: p.count_up_to(kappa)) == _outcome(
+                        lambda: self.count_by_sum(p.counts, kappa)
+                    ), (p, kappa)
+                    assert p.weighted_total(kappa) == self.weighted_by_sum(p.counts, kappa), (p, kappa)
+
+    def test_none_counts_nothing_only_on_the_empty_profile(self):
+        assert profile({}).count_up_to(None) == 0
+        with pytest.raises(TypeError):
+            profile({2: 1}).count_up_to(None)
 
 
 class TestFrobeniusFromProfile:
@@ -204,7 +240,7 @@ class TestPerObjectMemo:
     def test_a_warm_memo_changes_no_value_semantics(self, level):
         for _, semigroup in _memo_sources(level)[::7]:
             cold = NumericalSemigroup(semigroup.gaps)
-            leap_profile(semigroup), max_leap_jump(semigroup)
+            leap_profile(semigroup), max_leap_jump(semigroup), is_kappa_sparse_run(semigroup, 2)
             assert semigroup == cold and hash(semigroup) == hash(cold)
             assert repr(semigroup) == repr(cold)
             assert semigroup.describe() == cold.describe()

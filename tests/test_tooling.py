@@ -70,6 +70,22 @@ def test_the_benchmark_hooks_exist():
     ]
 
 
+def test_no_two_benchmark_spans_share_an_object():
+    """The tracer rebinds by object identity, so one object under two names would merge spans."""
+    spans = (
+        *module_constant(ROOT / "perfbench" / "run.py", "LAYER_SPANS").items(),
+        *module_constant(ROOT / "perfbench" / "tracer.py", "EXTRA_SPANS").items(),
+    )
+    members = vars(NumericalSemigroup)
+    named: dict[int, list[str]] = {}
+    for layer, names in spans:
+        module = getattr(sparsegroup, layer)
+        for name in names:
+            target = getattr(module, name) if hasattr(module, name) else members[name]
+            named.setdefault(id(target), []).append(f"{layer}.{name}")
+    assert [keys for keys in named.values() if len(keys) > 1] == []
+
+
 def test_benchmark_smoke_passes():
     """Tiny runs of every workload, traced and untraced, through the tracer's wrappers."""
     result = run_python("perfbench/run.py", "--smoke")

@@ -177,6 +177,58 @@ def test_tree_roundtrip_catches_a_node_that_does_not_revalidate():
             id="frobenius-form",
         ),
         pytest.param(
+            "_kappa_deciders_agree",
+            {"is_kappa_sparse_run": lambda node, kappa: kappa != 3},
+            real(2),
+            "gaps=[1] kappa=3: (True, True, True, False)",
+            3,
+            id="kappa-deciders-disagree",
+        ),
+        pytest.param(
+            "_identity_matches_class",
+            {"frobenius_identity_check": lambda node, kappa: kappa != 3},
+            real(2),
+            "gaps=[1] kappa=3",
+            2,
+            id="identity-vs-class",
+        ),
+        pytest.param(
+            "_pure_run_agrees",
+            {"is_pure_kappa_sparse": lambda node, kappa: True},
+            real(2),
+            "gaps=[1] kappa=3",
+            1,
+            id="pure-vs-run",
+        ),
+        pytest.param(
+            "_kappa_chain_strict",
+            {"is_kappa_sparse": lambda node, kappa: kappa != 3},
+            real(1),
+            "gaps=[]: in class 2 but not 3",
+            2,
+            id="chain-not-monotone",
+        ),
+        pytest.param(
+            # every pool node is in classes 2..4; only the meet of the two genus-2 nodes
+            # leaves classes 3 and 4, found after 8 pairs at 3 kappas and that pair at kappa 2
+            "_intersection_stays_in_class",
+            {"is_kappa_sparse": lambda node, kappa: node.genus < 3 or kappa == 2},
+            real(2),
+            "gaps=[1, 2] meet gaps=[1, 3] leaves class 3",
+            26,
+            id="meet-leaves-class",
+        ),
+        pytest.param(
+            # classes (2, 3, 4), (3, 4) and (4,) by genus: a pair is tried only at the kappas
+            # whose class holds both, so the meet of genus 3 fails after 12 instances
+            "_intersection_stays_in_class",
+            {"is_kappa_sparse": lambda node, kappa: node.genus < 3 and kappa >= node.genus + 2},
+            real(2),
+            "gaps=[1, 2] meet gaps=[1, 3] leaves class 4",
+            13,
+            id="meet-tried-in-shared-classes",
+        ),
+        pytest.param(
             "_pure_classes_partition",
             # every verdict agrees with an index outside 1..genus+2, so only the level sum fails
             {"sparseness_index": lambda node: 0, "is_pure_kappa_sparse": lambda node, kappa: False},

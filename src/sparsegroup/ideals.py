@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import pairwise
 
-from .core import NumericalSemigroup, _Value, _bitmask
+from .core import NumericalSemigroup, _Value
 
 
 class RelativeIdeal(_Value):
@@ -58,9 +58,16 @@ def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
 
 
 def _window(ideal: RelativeIdeal, width: int) -> int:
-    """Bit n set for each element base + n of ``ideal``, for n in [0, width)."""
-    low = _bitmask((m - ideal.base for m in ideal.members if m < ideal.base + width), width)
-    return low | (((1 << width) - 1) & (-1 << (ideal.threshold - ideal.base)))
+    """Bit n set for each element base + n of ``ideal``, for n in [0, width).
+
+    One shift-or per member: the members of a tail ideal are few, and a
+    directly constructed ideal need not list them in order.
+    """
+    base, low = ideal.base, 0
+    for m in ideal.members:
+        if m < base + width:
+            low |= 1 << (m - base)
+    return low | (((1 << width) - 1) & (-1 << (ideal.threshold - base)))
 
 
 def ideal_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
@@ -69,11 +76,12 @@ def ideal_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal
     Any z >= threshold(left) - base(right) lands in left's tail, and no z below
     base(left) - base(right) fits.  Between, z = base(left) - base(right) + s fits exactly when
     right's mask over the window [base(left), threshold(left)) meets none of left's non-elements
-    shifted down by s.
+    shifted down by s.  A self-difference, as ``is_stable`` asks, builds the window once.
     """
     width = left.threshold - left.base
-    outside = ((1 << width) - 1) & ~_window(left, width)
-    inside = _window(right, width)
+    window = _window(left, width)
+    outside = ((1 << width) - 1) & ~window
+    inside = window if right is left else _window(right, width)
     offset = left.base - right.base
     accepted = [offset + s for s in range(width) if not inside & (outside >> s)]
     return RelativeIdeal.from_members(accepted, threshold=offset + width)

@@ -32,8 +32,14 @@ def is_kappa_sparse_gapdiff(semigroup: NumericalSemigroup, kappa: int) -> bool:
 
 
 def is_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
-    """Production decision procedure: the gap-spacing form, O(genus)."""
-    return is_kappa_sparse_gapdiff(semigroup, kappa)
+    """Production decision procedure: the gap-spacing form, O(genus) once per object.
+
+    It repeats the gap-spacing test rather than forwarding to it, so that a
+    class query, asked per (node, kappa), is one frame deep.
+    """
+    if type(kappa) is not int or kappa < 1:
+        _require_kappa(kappa, 1)
+    return max_leap_jump(semigroup) <= kappa
 
 
 def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -81,7 +87,7 @@ def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
         _require_kappa(kappa, 1)
     if kappa == 1:
         return semigroup.genus == 0
-    return is_kappa_sparse(semigroup, kappa) and leap_profile(semigroup).v(kappa) != 0
+    return max_leap_jump(semigroup) <= kappa and leap_profile(semigroup).v(kappa) != 0
 
 
 def sparseness_index(semigroup: NumericalSemigroup) -> int:

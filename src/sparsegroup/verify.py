@@ -262,18 +262,23 @@ def _kappa_chain_strict(levels: Levels) -> Instances:
 def _intersection_stays_in_class(levels: Levels) -> Instances:
     """Intersecting two kappa-sparse semigroups stays in the class (kappa in 2..4).
 
-    Each pair's meet is built once and tested at every kappa whose class
-    holds both semigroups.
+    A meet's gap set is the union of the pair's, so the pair's OR of gap masks
+    keys it: each distinct meet is built once and tested at every kappa whose
+    class holds both semigroups of each pair that reaches it.
     """
     pool = [
         (node, [kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)])
         for node in _nodes(levels[: PAIR_GENUS + 1])
     ]
+    meets: dict[int, NumericalSemigroup] = {}
     for i, (a, a_classes) in enumerate(pool):
         for b, b_classes in pool[i:]:
             both = [kappa for kappa in a_classes if kappa in b_classes]
             if both:
-                meet = a.intersect(b)
+                union = a.gap_mask | b.gap_mask
+                meet = meets.get(union)
+                if meet is None:
+                    meet = meets[union] = a.intersect(b)
                 for kappa in both:
                     stays = is_kappa_sparse(meet, kappa)
                     yield None if stays else f"{_gapstr(a)} meet {_gapstr(b)} leaves class {kappa}"
@@ -281,11 +286,15 @@ def _intersection_stays_in_class(levels: Levels) -> Instances:
 
 @_family("adjunction-stays-in-class")
 def _adjunction_stays_in_class(levels: Levels) -> Instances:
-    """Filling the largest gap of a kappa-sparse semigroup stays in the class."""
+    """Filling the largest gap of a kappa-sparse semigroup stays in the class.
+
+    Each node's parent is built once and tested at every kappa that holds the node.
+    """
     for node in _nodes(levels[1:]):
+        parent = node.adjoin_frobenius()
         for kappa in range(2, KAPPA_LIMIT + 1):
             if is_kappa_sparse(node, kappa):
-                stays = is_kappa_sparse(node.adjoin_frobenius(), kappa)
+                stays = is_kappa_sparse(parent, kappa)
                 yield None if stays else f"{_gapstr(node)} kappa={kappa}"
 
 

@@ -17,6 +17,7 @@ from sparsegroup import (
 from sparsegroup.enumeration import _walk
 
 from oracle import PUBLISHED_LEVEL_SIZES, is_arf, is_ideal_of
+from oracle import ideal_difference as scan_difference
 
 
 def gs(*gaps: int) -> NumericalSemigroup:
@@ -144,6 +145,41 @@ class TestIdealDifference:
                 for z in members_below(difference, horizon - tail.base):
                     for f in members_below(tail, horizon - z):
                         assert (z + f) in tail
+
+
+def scanned_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
+    """The oracle's shift scan, every z with z + right inside left, as a canonical ideal.
+
+    No z below base(left) - base(right) fits and every z from threshold(left) - base(right)
+    on does; the scan runs three past each end to show both.
+    """
+    start, stop = left.base - right.base - 3, left.threshold - right.base + 3
+    accepted = scan_difference(
+        (left.threshold, left.members), (right.threshold, right.members), start, stop
+    )
+    assert accepted[-3:] == tuple(range(stop - 3, stop))
+    return RelativeIdeal.from_members(accepted, threshold=stop)
+
+
+def test_difference_matches_the_set_definition_for_every_pair_of_tails_to_genus_seven(level):
+    pairs = 0
+    for g in range(8):
+        for node in level(g):
+            tails = [ideal_at(node, k) for k in range(len(node.small_elements))]
+            for left in tails:
+                for right in tails:  # includes right is left, the window-sharing path
+                    assert ideal_difference(left, right) == scanned_difference(left, right)
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_difference_does_not_rely_on_sorted_members():
+    scrambled = RelativeIdeal(3, 12, (9, 3, 7, 10, 5))
+    ordered = RelativeIdeal(3, 12, (3, 5, 7, 9, 10))
+    tail = ideal_at(gs(1, 2, 4), 1)
+    for left, right in [(scrambled, scrambled), (scrambled, tail), (tail, scrambled)]:
+        assert ideal_difference(left, right) == scanned_difference(left, right)
+    assert ideal_difference(scrambled, scrambled) == ideal_difference(ordered, ordered)
 
 
 class TestIsStable:

@@ -170,6 +170,23 @@ class TestPure:
                     assert is_pure_kappa_sparse(node, kappa) == (kappa == index)
 
 
+def test_class_and_purity_queries_match_their_definitions_to_genus_ten(level):
+    """Both queries against the gap tuple: every consecutive-gap difference, from the sentinel -1.
+
+    The class holds when the largest difference is at most kappa; the pure class when,
+    in addition, some difference is exactly kappa, or at kappa = 1 when there is no gap.
+    """
+    for g in range(11):
+        for node in level(g):
+            gaps = node.gaps
+            jumps = [hi - lo for lo, hi in zip((-1,) + gaps, gaps)]
+            for kappa in range(1, g + 4):
+                sparse = max(jumps, default=0) <= kappa
+                pure = sparse and (kappa in jumps if gaps else kappa == 1)
+                assert is_kappa_sparse(node, kappa) == sparse, (gaps, kappa)
+                assert is_pure_kappa_sparse(node, kappa) == pure, (gaps, kappa)
+
+
 class TestSparsenessIndex:
     def test_naturals(self):
         assert sparseness_index(gs()) == 1

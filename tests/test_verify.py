@@ -290,3 +290,37 @@ def test_pure_classes_partition_decides_purity_once_per_node_and_kappa(monkeypat
     result = sparsegroup.verify._pure_classes_partition(levels)
     assert result.passed and result.instances == 50
     assert len(calls) == len(set(calls)) == sum((g + 2) * len(level) for g, level in enumerate(levels))
+
+
+def test_each_distinct_meet_and_each_parent_is_built_once(monkeypatch):
+    """One meet per distinct gap union among eligible pairs, one parent per node of positive genus."""
+    levels = [list(enumerate_genus(g)) for g in range(7)]
+    built = {"intersect": [], "adjoin_frobenius": []}
+    for name, calls in built.items():
+        original = getattr(NumericalSemigroup, name)
+
+        def counted(self, *other, original=original, calls=calls):
+            calls.append(self)
+            return original(self, *other)
+
+        monkeypatch.setattr(NumericalSemigroup, name, counted)
+
+    meets = sparsegroup.verify._intersection_stays_in_class(levels)
+    assert meets.passed and meets.instances == GENUS_SIX_INSTANCES["intersection-stays-in-class"]
+    pool = []
+    for level in levels:
+        for node in level:
+            jump = max((hi - lo for lo, hi in zip([-1, *node.gaps], node.gaps)), default=0)
+            pool.append((set(node.gaps), {kappa for kappa in (2, 3, 4) if jump <= kappa}))
+    unions = {
+        frozenset(a | b)
+        for i, (a, a_classes) in enumerate(pool)
+        for b, b_classes in pool[i:]
+        if a_classes & b_classes
+    }
+    assert len(built["intersect"]) == len(unions) < meets.instances
+
+    parents = sparsegroup.verify._adjunction_stays_in_class(levels)
+    assert parents.passed and parents.instances == GENUS_SIX_INSTANCES["adjunction-stays-in-class"]
+    adjoined = built["adjoin_frobenius"]
+    assert len({id(node) for node in adjoined}) == len(adjoined) == sum(map(len, levels[1:]))

@@ -48,15 +48,16 @@ def _tree(
     keep: Callable[[int], bool] | None,
     count: bool,
     counted: Callable[[int], bool] | None = None,
+    arf: bool = False,
 ) -> Iterator[tuple]:
     """The walk behind ``_walk``, or with ``count`` its deepest level counted from two levels up.
 
-    Without ``count`` it yields what ``_walk`` yields.  With ``count`` (and
-    ``max_genus`` >= 2) it stacks nothing below depth ``max_genus - 2`` and
-    yields one number per node there: how many of its grandchildren
-    ``counted`` accepts (all if ``None``), through the children that ``keep``
-    accepts.  It then carries each node's Frobenius number F in place of its
-    gaps, which the count never reads.
+    Without ``count`` it yields what ``_walk`` yields.  With ``count`` (and ``max_genus`` >= 2)
+    it stacks nothing below depth ``max_genus - 2`` and yields one number per node there: how
+    many of its grandchildren ``counted`` accepts (all if ``None``), through the children that
+    ``keep`` accepts.  It then carries each node's Frobenius number F in place of its gaps,
+    which the count never reads.  With ``arf`` it walks the Arf subtree alone: ``_stays_arf``
+    tests each child and grandchild.
 
     A child that removes x from a node with Frobenius number F adds exactly
     one leap, (F, x), so its index is the larger of the node's and x - F.
@@ -94,8 +95,10 @@ def _tree(
         frobenius = trail if count else trail[-1] if trail else -1
         leaves = depth + 1 == max_genus
         total = 0
-        for i in reversed(range(len(generators))):
+        for i in reversed(range(min(len(generators), 2) if arf else len(generators))):  # Arf: x <= F + 2
             x = generators[i]
+            if arf and not _stays_arf(members, frobenius, x):
+                continue
             child_index = index if index > x - frobenius else x - frobenius
             if keep is not None and not keep(child_index):
                 continue
@@ -113,6 +116,9 @@ def _tree(
                 if not sums & (1 << x - multiplicity - 1) - 1:
                     child_generators += (y,)
             if depth == last:
+                if arf:
+                    child_members = members ^ 1 << x
+                    child_generators = [g for g in child_generators[:2] if _stays_arf(child_members, x, g)]
                 if counted is None:
                     total += len(child_generators)
                 else:
@@ -133,6 +139,18 @@ def _tree(
             )
         if depth == last:
             yield total
+
+
+def _stays_arf(members: int, frobenius: int, x: int) -> bool:
+    """Whether the Arf semigroup with member mask ``members`` stays Arf without its generator x > F.
+
+    Arf asks 2b - a in S for members a <= b, so only 2b - a = x with a < b < x can fail: a = x - 2
+    and b = x - 1 if x >= F + 3, else a = 2k + p and b = k + j + p, x = 2j + p and 0 <= k < j.
+    """
+    if x > frobenius + 2:
+        return False
+    digits, j, p = bin(members)[:1:-1], x >> 1, x & 1  # digit n is "1" iff n is a member
+    return not int("0" + digits[p:x:2], 2) & int("0" + digits[j + p : x], 2)
 
 
 class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filter mode emit")):
@@ -172,22 +190,6 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
         return self.kappa_filter if self.kappa_filter is not None else 2
 
 
-def _arf_walk(max_genus: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """Every Arf semigroup of genus <= ``max_genus``, as ``_walk`` yields nodes and in its order.
-
-    S is Arf iff S = N or S = {0} + (m + T) with T Arf, m in T and m >= 2 (Rosales,
-    Garcia-Sanchez, Garcia-Garcia and Branco, J. Algebra 2004): gaps 1, ..., m - 1, then m
-    plus each gap of T.  Arf semigroups are sparse and 1 is a gap of each nontrivial one,
-    so the index is 2, or 1 at the root.  Preorder is lexicographic: ancestors are prefixes.
-    """
-    found = [()]
-    for gaps in found:  # extended as it is read, so each T is expanded once
-        for m in range(2, max_genus - len(gaps) + 2):
-            if m not in gaps:
-                found.append(tuple(range(1, m)) + tuple(m + x for x in gaps))
-    return [(len(gaps), gaps, 2 if gaps else 1) for gaps in sorted(found)]
-
-
 def _index_tests(request: EnumerationRequest) -> tuple[Callable[[int], bool] | None, ...]:
     """``keep``, the request's pruning test on a node's index, and ``counted``, its member test.
 
@@ -202,11 +204,11 @@ def _index_tests(request: EnumerationRequest) -> tuple[Callable[[int], bool] | N
     return keep, (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
 
 
-def _universe(request: EnumerationRequest) -> tuple[Iterable[tuple], Callable[[int], bool] | None]:
-    """The walk over the request's universe, a list in Arf mode, and its member test ``counted``."""
+def _universe(request: EnumerationRequest) -> tuple[Iterator[tuple], Callable[[int], bool] | None]:
+    """The walk over the request's universe and its member test ``counted``."""
     keep, counted = _index_tests(request)
     if request.mode == "arf":
-        return _arf_walk(request.max_genus), counted
+        return _tree(request.max_genus, None, False, arf=True), counted
     return _walk(request.max_genus, keep), counted
 
 
@@ -232,13 +234,12 @@ def level_size(request: EnumerationRequest) -> int:
 
     The walk stops two levels early: ``_tree`` counts each depth-``max_genus - 2``
     node's grandchildren from the generators of its children, which it never
-    stacks.  Genus 0 and 1, with no such level, and Arf mode, with its own
-    tree, count ``_level``.
+    stacks.  Genus 0 and 1, with no such level, count ``_level``.
     """
-    if request.mode == "arf" or request.max_genus < 2:
+    if request.max_genus < 2:
         return sum(1 for _ in _level(request))
     keep, counted = _index_tests(request)
-    return sum(_tree(request.max_genus, keep, True, counted))
+    return sum(_tree(request.max_genus, keep, True, counted, request.mode == "arf"))
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -280,14 +281,13 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     the index (1 at the root, whose counts are empty).  Every column depends
     on the key alone, so the member test from ``_universe`` and the class tests
     run once per distinct key, as each row is built after the walk.  The
-    ``arf`` column counts the ``_arf_walk`` entries that pass the member test;
-    in Arf mode that list is the walk itself.
+    ``arf`` column counts the members on a second walk, of the Arf subtree.
     """
     with_profiles = request.emit == "full"
     if with_profiles:  # only a census with profiles builds them, so no count loads leaps
         from .leaps import LeapProfile
     walk, counted = _universe(request)
-    arf_nodes = walk if request.mode == "arf" else _arf_walk(request.max_genus)
+    arf_nodes = _tree(request.max_genus, None, False, arf=True)
     arf = Counter(depth for depth, _, index in arf_nodes if counted is None or counted(index))
     # The walk is preorder, so a node's parent is the last node yielded one
     # level up.  Slot d + 1 holds what the last node at depth d passes to its

@@ -14,12 +14,17 @@ class RelativeIdeal(_Value):
     Canonical form: ``members`` lists the elements in [base, threshold) in
     increasing order, every integer at or above ``threshold`` belongs, and
     ``threshold`` is minimal (so structural equality is set equality).
-    The instance is immutable.
+    The instance is immutable.  A member outside [base, threshold) is refused;
+    the members need not come in order.
     """
 
     _fields = ("base", "threshold", "members")
 
     def __init__(self, base: int, threshold: int, members: tuple[int, ...]) -> None:
+        if members:
+            low, high = min(members), max(members)
+            if low < base or high >= threshold:
+                raise ValueError(f"member {low if low < base else high} is outside [{base}, {threshold})")
         self.__dict__.update(base=base, threshold=threshold, members=members)
 
     @classmethod

@@ -20,10 +20,10 @@ PUBLISHED_LEVEL_SIZES = (
     22464, 37396, 62194, 103246, 170963, 282828,
 )
 
-# Numbers of Arf numerical semigroups of genus 0..30.  Two enumerators in
-# tests/test_enumeration.py reproduce them, the Arf recursion and the sparse
-# tree walk filtered by the triple condition; frozen so a regression in
-# either is caught.
+# Numbers of Arf numerical semigroups of genus 0..30.  In
+# tests/test_enumeration.py the Arf recursion below, the sparse tree walk
+# filtered by the triple condition and the library's Arf walk and count
+# reproduce them; frozen so a regression in any is caught.
 ARF_LEVEL_SIZES = (
     1, 1, 2, 3, 4, 6, 8, 10, 13, 17, 21, 26, 31, 36, 47, 55, 62, 74, 87, 101, 116, 133, 152,
     174, 196, 222, 251, 284, 317, 355, 393,
@@ -113,6 +113,22 @@ def is_arf(gaps: tuple[int, ...]) -> bool:
             if 2 * x - y in gapset:
                 return False
     return True
+
+
+def arf_walk(max_genus: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """Every Arf gap tuple of genus <= ``max_genus`` as ``(depth, gaps, index)``, in tree preorder.
+
+    S is Arf iff S = N or S = {0} + (m + T) with T Arf, m in T and m >= 2 (Rosales,
+    Garcia-Sanchez, Garcia-Garcia and Branco, J. Algebra 2004): gaps 1, ..., m - 1, then m
+    plus each gap of T.  Arf semigroups are sparse and 1 is a gap of each nontrivial one,
+    so the index is 2, or 1 at the root.  Preorder is lexicographic: ancestors are prefixes.
+    """
+    found = [()]
+    for gaps in found:  # extended as it is read, so each T is expanded once
+        for m in range(2, max_genus - len(gaps) + 2):
+            if m not in gaps:
+                found.append(tuple(range(1, m)) + tuple(m + x for x in gaps))
+    return [(len(gaps), gaps, 2 if gaps else 1) for gaps in sorted(found)]
 
 
 def first_member_run(gaps: tuple[int, ...], kappa: int) -> int | None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -27,13 +28,14 @@ from sparsegroup import (
     sparseness_index,
 )
 from sparsegroup import enumeration
-from sparsegroup.enumeration import EMITS, MODES, _arf_walk, _walk, members
+from sparsegroup.enumeration import EMITS, MODES, _stays_arf, _walk, members
 
 from oracle import (
     ARF_LEVEL_SIZES,
     KAPPA_LEVEL_SIZES,
     KNOWN_LEVEL_SIZES,
     PUBLISHED_LEVEL_SIZES,
+    arf_walk,
     brute_force_gap_sets,
     kappa_sparse_walk,
 )
@@ -130,40 +132,95 @@ class TestWalk:
         assert tuple(counted) == PUBLISHED_LEVEL_SIZES
 
 
-class TestArfWalk:
-    def test_equals_the_full_walk_filtered_by_the_independent_deciders(self):
-        """Node for node and in order to genus 15, against the triple condition and tail stability.
+def arf_stream(max_genus):
+    """The library's Arf walk, as the ``--arf`` stream and census read it."""
+    walk, _ = enumeration._universe(EnumerationRequest(max_genus, mode="arf"))
+    return list(walk)
 
-        Neither decider uses the multiplicity recursion that ``_arf_walk`` runs forwards.
+
+def member_mask(semigroup, width):
+    """Bit n set iff n is a member, for n in [0, width]."""
+    return sum(1 << n for n in range(width + 1) if n in semigroup)
+
+
+class TestArfWalk:
+    def test_equals_the_recursion_and_the_full_walk_filtered_by_two_deciders(self):
+        """Node for node and in order to genus 15, against three references.
+
+        The multiplicity recursion, the triple condition and tail stability: none of them
+        is the child test that the walk runs.
         """
+        stream = arf_stream(15)
+        assert stream == arf_walk(15)
         nodes = [(depth, NumericalSemigroup(gaps), index) for depth, gaps, index in _walk(15)]
         for decider in (is_arf_definition, is_arf_stable):
             filtered = [(depth, node.gaps, index) for depth, node, index in nodes if decider(node)]
-            assert _arf_walk(15) == filtered
+            assert stream == filtered
 
-    def test_level_sizes_from_two_enumerators(self):
-        """The recursion, and the index-<= 2 walk filtered by the triple condition, to genus 30.
+    def test_level_sizes_from_four_enumerators(self):
+        """The recursion, the filtered index-<= 2 walk, the Arf walk and its count, to genus 30.
 
         Filling the largest gap keeps a semigroup Arf, so the filter inherits a non-Arf
-        parent's verdict and tests only the root and the children of Arf nodes.
+        parent's verdict and tests only the root and the children of Arf nodes.  ``level_size``
+        counts each level from two levels up, through the grandchild test.
         """
         max_genus = len(ARF_LEVEL_SIZES) - 1
         recursion = [0] * (max_genus + 1)
-        for depth, _, _ in _arf_walk(max_genus):
+        for depth, _, _ in arf_walk(max_genus):
             recursion[depth] += 1
+        walked = [0] * (max_genus + 1)
+        for depth, _, _ in arf_stream(max_genus):
+            walked[depth] += 1
         filtered = [0] * (max_genus + 1)
         verdicts = [True] * (max_genus + 2)
         for depth, gaps, _ in _walk(max_genus, lambda index: index <= 2):
             verdicts[depth + 1] = verdicts[depth] and is_arf_definition(NumericalSemigroup(gaps))
             filtered[depth] += verdicts[depth + 1]
-        assert tuple(recursion) == tuple(filtered) == ARF_LEVEL_SIZES
+        counted = [level_size(EnumerationRequest(g, mode="arf")) for g in range(max_genus + 1)]
+        assert tuple(recursion) == tuple(walked) == tuple(filtered) == ARF_LEVEL_SIZES
+        assert tuple(counted) == ARF_LEVEL_SIZES
+
+    def test_the_child_test_on_every_arf_node_to_genus_14(self):
+        """Off the walk: each child of each Arf node, from the reference ``children``.
+
+        No child that removes an x >= F + 3 is Arf, and the child test agrees with the triple
+        condition.
+        """
+        arf_nodes, far = [NumericalSemigroup(())], 0
+        for node in arf_nodes:  # extended as it is read, with the Arf children to genus 14
+            mask = member_mask(node, 3 * 14)
+            for child in children(node):
+                x, arf = child.frobenius, is_arf_definition(child)
+                if x >= node.frobenius + 3:
+                    assert not arf, child.gaps
+                    far += 1
+                assert _stays_arf(mask, node.frobenius, x) == arf, child.gaps
+                if arf and child.genus <= 14:
+                    arf_nodes.append(child)
+        assert len(arf_nodes) == sum(ARF_LEVEL_SIZES[:15])
+        assert far > len(arf_nodes)
+
+    def test_a_deep_arf_stream_holds_no_list_of_the_class(self):
+        """The first genus-50 member comes off a depth-first stack: well under 2 MiB traced.
+
+        A walk that lists all 27102 Arf semigroups of genus <= 50 before it yields one peaks
+        near 14 MiB.
+        """
+        tracemalloc.start()
+        try:
+            first = next(members(EnumerationRequest(50, mode="arf")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.genus == 50 and is_arf_double(first)
+        assert peak < 2 * 2**20
 
 
 @functools.cache
 def reference_nodes(max_genus):
     """Every node to ``max_genus`` by the reference walk, with its index, Arf verdict and profile.
 
-    The verdict is the triple condition, not the Arf-sequence test that ``_arf_walk`` runs forwards.
+    The verdict is the triple condition, not the child test that the Arf walk runs.
     """
     return [
         (depth, sparseness_index(node), is_arf_definition(node), leap_profile(node))
@@ -255,6 +312,7 @@ class TestLevelSize:
         "mode, expected",
         [
             ("all", PUBLISHED_LEVEL_SIZES),
+            ("arf", ARF_LEVEL_SIZES),
             ("kappa_sparse", KAPPA_LEVEL_SIZES[3]),
             ("pure_kappa_sparse", [a - b for a, b in zip(KAPPA_LEVEL_SIZES[3], KAPPA_LEVEL_SIZES[2])]),
         ],
@@ -406,7 +464,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_no_arf_decider_runs_in_any_mode(self, monkeypatch, mode):
-        """The ``arf`` column and the Arf stream come from ``_arf_walk``, not from a decider."""
+        """The ``arf`` column and the Arf stream come from the Arf walk, not from a decider."""
         calls = _count_calls(monkeypatch, is_arf_double, is_arf_definition, is_arf_stable)
         request = EnumerationRequest(max_genus=10, kappa_filter=3, mode=mode)
         rows = census(request)

@@ -54,6 +54,14 @@ class TestRelativeIdeal:
         assert a == b
 
 
+    @pytest.mark.parametrize("members, outside", [((1, 5), 1), ((5, 9), 9), ((9, 3, 12), 12)])
+    def test_a_member_outside_base_and_threshold_is_refused(self, members, outside):
+        """Below the base, at the threshold and past it: each is named, not silently shifted."""
+        with pytest.raises(ValueError, match=rf"^member {outside} is outside \[3, 9\)$"):
+            RelativeIdeal(3, 9, members)
+        assert RelativeIdeal(3, 9, (8, 3)).members == (8, 3)  # the base is allowed, unsorted too
+
+
 class TestIdealAt:
     def test_proper_ideal(self):
         tail = ideal_at(gs(1, 2, 4), 1)

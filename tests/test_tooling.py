@@ -106,8 +106,8 @@ def test_pruned_census_matches_the_recorded_digest():
 def test_arf_census_matches_the_recorded_digest():
     """The Arf census to genus 18, byte for byte against the SHA-256 of the unpruned walk's output.
 
-    The census walks the Arf recursion and counts its ``arf`` column off that walk; neither
-    may lose an Arf member or change a count.
+    The census walks the Arf subtree of the semigroup tree twice, for its universe and for its
+    ``arf`` column; neither walk may lose an Arf member or change a count.
     """
     result = run_python("-m", "sparsegroup", "enumerate", "--census", "--arf", "--genus", "18")
     assert result.returncode == 0, result.stderr
@@ -311,6 +311,11 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         (("-c", "import sparsegroup.cli"), {"cli", "core"}),
         (("-m", "sparsegroup", "info", "--gaps", ""), {"cli", "core"}),
         (("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"), {"cli", "core", "enumeration"}),
+        (("-m", "sparsegroup", "enumerate", "--genus", "5", "--arf"), {"cli", "core", "enumeration"}),
+        (
+            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--arf", "--count-only"),
+            {"cli", "core", "enumeration"},
+        ),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census"),
             {"cli", "core", "enumeration", "leaps"},
@@ -343,6 +348,8 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         "import-cli",
         "info",
         "enumerate",
+        "enumerate-arf",
+        "enumerate-arf-count",
         "census",
         "census-tsv",
         "census-count",

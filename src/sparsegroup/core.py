@@ -105,10 +105,14 @@ def _check_conductor(conductor: int) -> None:
 _DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")  # so that ``compress`` keeps the "1" digits
 
 
+def _ones(digits: str) -> tuple[int, ...]:
+    """The positions of the "1" digits of a string of binary digits, in ascending order."""
+    return tuple(compress(count(), digits.encode().translate(_DIGIT_VALUE)))
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """Inverse of ``_bitmask``: the set bits of ``mask`` in ascending order."""
-    digits = bin(mask)[:1:-1].encode()  # the least significant digit first, without "0b"
-    return tuple(compress(count(), digits.translate(_DIGIT_VALUE)))
+    return _ones(bin(mask)[:1:-1])  # the least significant digit first, without "0b"
 
 
 def _spanning(members: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -314,15 +318,18 @@ class NumericalSemigroup(_Value):
         """The integer whose bit n is set exactly when n is a gap."""
         return _bitmask(self.gaps, self.conductor)
 
-    @property
-    def _small_mask(self) -> int:
-        """Bit n set for each member n from 0 up to and including the conductor."""
-        return ((2 << self.conductor) - 1) & ~self.gap_mask
+    @cached_property
+    def _member_digits(self) -> str:
+        """Digit n is "1" iff n is a member, for n in [0, c], least significant first ("1" for N).
+
+        The one member format, read by ``small_elements``, the member-run decider and the Arf tests.
+        """
+        return bin(((2 << self.conductor) - 1) & ~self.gap_mask)[:1:-1]
 
     @cached_property
     def small_elements(self) -> tuple[int, ...]:
-        """Members from 0 up to and including the conductor, read off ``gap_mask``."""
-        return _bits(self._small_mask)
+        """Members from 0 up to and including the conductor: the "1" positions of ``_member_digits``."""
+        return _ones(self._member_digits)
 
     @cached_property
     def multiplicity(self) -> int:

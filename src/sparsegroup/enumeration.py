@@ -281,13 +281,14 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     the index (1 at the root, whose counts are empty).  Every column depends
     on the key alone, so the member test from ``_universe`` and the class tests
     run once per distinct key, as each row is built after the walk.  The
-    ``arf`` column counts the members on a second walk, of the Arf subtree.
+    ``arf`` column counts the members on a second walk, of the Arf subtree,
+    except in ``arf`` mode, where it is each row's total.
     """
     with_profiles = request.emit == "full"
     if with_profiles:  # only a census with profiles builds them, so no count loads leaps
         from .leaps import LeapProfile
     walk, counted = _universe(request)
-    arf_nodes = _tree(request.max_genus, None, False, arf=True)
+    arf_nodes = () if request.mode == "arf" else _tree(request.max_genus, None, False, arf=True)
     arf = Counter(depth for depth, _, index in arf_nodes if counted is None or counted(index))
     # The walk is preorder, so a node's parent is the last node yielded one
     # level up.  Slot d + 1 holds what the last node at depth d passes to its
@@ -306,9 +307,10 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     rows = []
     for genus, tally in enumerate(tallies):
         kept = {key: n for key, n in tally.items() if counted is None or counted(index_of(key))}
+        total = sum(kept.values())
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
         per_class = {
-            "arf": arf[genus],
+            "arf": total if request.mode == "arf" else arf[genus],
             "sparse": sum(n for key, n in kept.items() if index_of(key) <= 2),
             "kappa_sparse": sum(n for key, n in kept.items() if index_of(key) <= request.kappa),
             "pure_kappa_sparse": sum(n for key, n in kept.items() if index_of(key) == request.kappa),
@@ -317,5 +319,5 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
             LeapProfile(tuple((jump, c) for jump, c in enumerate(counts) if c)): n
             for counts, n in (kept.items() if with_profiles else ())
         }
-        rows.append(CensusRow(genus, sum(kept.values()), per_class, histogram))
+        rows.append(CensusRow(genus, total, per_class, histogram))
     return rows

@@ -110,17 +110,16 @@ def is_arf_definition(semigroup: NumericalSemigroup) -> bool:
 
     Indices run over the members up to the conductor; larger ones add nothing.
     Each difference is at least 0, so it is a member when it reaches the
-    conductor c or is one of the members below c.
+    conductor c or its member digit is "1".
     """
     small = semigroup.small_elements
-    c = semigroup.conductor
-    members = set(small)
+    c, digits = semigroup.conductor, semigroup._member_digits
     for i in range(len(small)):
         for j in range(i + 1):
             pair_sum = small[i] + small[j]
             for k in range(j + 1):
                 n = pair_sum - small[k]
-                if n < c and n not in members:
+                if n < c and digits[n] != "1":
                     return False
     return True
 
@@ -131,9 +130,9 @@ def is_arf_double(semigroup: NumericalSemigroup) -> bool:
     S is Arf iff each T_i = {s - s_i : s in S, s >= s_i} = {0} u (m_i + T_(i+1)) is a semigroup,
     iff m_i = s_(i+1) - s_i is in T_(i+1) (Garcia-Sanchez, Heredia, Karakas and Rosales, 2017).
     With a = s_i and b = s_(i+1), each test is O(1): 2b - a exceeds the conductor c, or its
-    digit is "1" in the string of member digits over [0, c], spelled once per call.
+    digit is "1" in the semigroup's member digits over [0, c].
     """
-    c, digits = semigroup.conductor, bin(semigroup._small_mask)[:1:-1]
+    c, digits = semigroup.conductor, semigroup._member_digits
     pairs = pairwise(semigroup.small_elements)
     return all(2 * b - a > c or digits[2 * b - a] == "1" for a, b in pairs)
 

@@ -57,25 +57,16 @@ def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
 def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via runs: no kappa consecutive members start below the conductor.
 
-    The run's starting point must be a positive member below the conductor
-    c.  Such a run also ends below c, because c - 1 is a gap, so it is kappa
-    adjacent ones in the mask of the positive members below c.  That mask
-    has at most c - 2 ones, so kappa >= c answers first, before the mask of
-    genus 0 (c = 0) could go negative.  Only defined for kappa >= 2.  The
-    string of the mask's binary digits is spelled once per object and kept
-    in the instance ``__dict__``, as the leap profile is.
+    The test is one substring search of the semigroup's member digits over
+    [0, c].  For positive genus digit 1 is a gap, and so is digit c - 1, so
+    for kappa >= 2 no run of kappa ones touches digit 0 or c: every such run
+    lies among the positive members below c.  Every kappa >= c answers True
+    before any pattern is built, also for the full naturals (c = 0).  Only
+    defined for kappa >= 2.
     """
     if type(kappa) is not int or kappa < 2:
         _require_kappa(kappa, 2)
-    c = semigroup.conductor
-    if kappa >= c:
-        return True
-    memo = semigroup.__dict__
-    try:
-        digits = memo["_member_digits"]
-    except KeyError:
-        digits = memo["_member_digits"] = bin(((1 << c) - 2) & ~semigroup.gap_mask)
-    return "1" * kappa not in digits
+    return kappa >= semigroup.conductor or "1" * kappa not in semigroup._member_digits
 
 
 def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import sys
 import tracemalloc
 from collections import Counter
@@ -491,6 +492,21 @@ class TestCensus:
             assert row.total == expected
             assert row.per_class["arf"] == row.total
             assert row.per_class["arf"] <= len(level(row.genus))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_walks_the_arf_subtree_once(self, monkeypatch, mode):
+        """In ``arf`` mode the universe is the Arf subtree, and its rows give the ``arf`` column."""
+        tree, arf_walks = enumeration._tree, []
+
+        def counted(*args, **kwargs):
+            arf_walks.append(inspect.signature(tree).bind(*args, **kwargs).arguments.get("arf", False))
+            return tree(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_tree", counted)
+        rows = census(EnumerationRequest(12, kappa_filter=3, mode=mode))
+        assert arf_walks.count(True) == 1
+        arf = sum(row.per_class["arf"] for row in rows)
+        assert arf == (0 if mode == "pure_kappa_sparse" else sum(ARF_LEVEL_SIZES[:13]))
 
     @pytest.mark.parametrize("kappa", [1, 3])
     def test_kappa_mode_restricts_the_universe(self, level, kappa):

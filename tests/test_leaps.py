@@ -10,6 +10,7 @@ from sparsegroup import (
     LeapProfile,
     NumericalSemigroup,
     frobenius_from_profile,
+    is_arf_double,
     is_hyperelliptic,
     is_kappa_sparse_gapdiff,
     is_kappa_sparse_profile,
@@ -237,10 +238,18 @@ class TestPerObjectMemo:
             assert dict(leap_profile(semigroup).counts) == dict(Counter(jumps)), how
             assert max_leap_jump(semigroup) == max(jumps, default=0), how
 
+    def test_member_digits_spell_membership(self, level):
+        """One digit per n in [0, c], "1" iff n is a member, whichever way the object was made."""
+        for how, s in _memo_sources(level):
+            expected = "".join("1" if n in s else "0" for n in range(s.conductor + 1))
+            assert s._member_digits == expected, how
+        assert NumericalSemigroup(())._member_digits == "1"
+
     def test_a_warm_memo_changes_no_value_semantics(self, level):
         for _, semigroup in _memo_sources(level)[::7]:
             cold = NumericalSemigroup(semigroup.gaps)
             leap_profile(semigroup), max_leap_jump(semigroup), is_kappa_sparse_run(semigroup, 2)
+            semigroup.small_elements, is_arf_double(semigroup)
             assert semigroup == cold and hash(semigroup) == hash(cold)
             assert repr(semigroup) == repr(cold)
             assert semigroup.describe() == cold.describe()

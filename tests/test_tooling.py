@@ -86,6 +86,24 @@ def test_no_two_benchmark_spans_share_an_object():
     assert [keys for keys in named.values() if len(keys) > 1] == []
 
 
+def test_only_core_and_leaps_memoize_on_a_semigroup():
+    """Every public kappa and ideals decider leaves only core's cached properties and the leap memos."""
+    semigroup = NumericalSemigroup.from_gaps((1, 2, 3, 5, 7))
+    called = set()
+    for module in (sparsegroup.kappa, sparsegroup.ideals):
+        for name, function in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(function):
+                continue
+            parameters = list(inspect.signature(function).parameters)
+            if function.__module__ == module.__name__ and parameters[0] == "semigroup":
+                function(semigroup, *[2] * (len(parameters) - 1))  # kappa 2, or the tail ideal k = 2
+                called.add(name)
+    assert {"is_kappa_sparse_run", "is_arf_definition", "is_arf_double", "classify"} <= called
+    members = vars(NumericalSemigroup).items()
+    properties = {name for name, value in members if isinstance(value, cached_property)}
+    assert set(vars(semigroup)) <= {"gaps", "_leap_profile", "_max_leap_jump", *properties}
+
+
 def test_benchmark_smoke_passes():
     """Tiny runs of every workload, traced and untraced, through the tracer's wrappers."""
     result = run_python("perfbench/run.py", "--smoke")
@@ -106,8 +124,8 @@ def test_pruned_census_matches_the_recorded_digest():
 def test_arf_census_matches_the_recorded_digest():
     """The Arf census to genus 18, byte for byte against the SHA-256 of the unpruned walk's output.
 
-    The census walks the Arf subtree of the semigroup tree twice, for its universe and for its
-    ``arf`` column; neither walk may lose an Arf member or change a count.
+    The census walks the Arf subtree of the semigroup tree once, as its universe, and takes its
+    ``arf`` column from the rows; the walk may lose no Arf member and change no count.
     """
     result = run_python("-m", "sparsegroup", "enumerate", "--census", "--arf", "--genus", "18")
     assert result.returncode == 0, result.stderr

@@ -190,25 +190,24 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
         return self.kappa_filter if self.kappa_filter is not None else 2
 
 
-def _index_tests(request: EnumerationRequest) -> tuple[Callable[[int], bool] | None, ...]:
-    """``keep``, the request's pruning test on a node's index, and ``counted``, its member test.
+def _universe(
+    request: EnumerationRequest, count: bool = False
+) -> tuple[Iterator[tuple], Callable[[int], bool] | None]:
+    """The walk over the request's universe, or with ``count`` (genus >= 2) ``_tree``'s counts.
 
-    ``None`` passes everything.  Filling the largest gap keeps a semigroup
-    kappa-sparse, so every ancestor of a member is a member: the kappa modes
+    Also returns ``counted``, the member test.  This is where the mode becomes the walk's
+    pruning test ``keep`` on a node's index, ``counted`` and the Arf flag (``None`` passes
+    everything).  Filling the largest gap keeps a semigroup kappa-sparse, so the kappa modes
     prune at the first non-member, and the pure mode counts index == kappa.
     """
-    if request.mode in ("all", "arf"):
-        return None, None
-    kappa = request.kappa
-    keep = lambda index: index <= kappa
-    return keep, (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
-
-
-def _universe(request: EnumerationRequest) -> tuple[Iterator[tuple], Callable[[int], bool] | None]:
-    """The walk over the request's universe and its member test ``counted``."""
-    keep, counted = _index_tests(request)
-    if request.mode == "arf":
-        return _tree(request.max_genus, None, False, arf=True), counted
+    keep = counted = None
+    if request.mode in ("kappa_sparse", "pure_kappa_sparse"):
+        kappa = request.kappa
+        keep = lambda index: index <= kappa
+        counted = (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
+    arf = request.mode == "arf"
+    if count or arf:
+        return _tree(request.max_genus, keep, count, counted, arf), counted
     return _walk(request.max_genus, keep), counted
 
 
@@ -238,8 +237,7 @@ def level_size(request: EnumerationRequest) -> int:
     """
     if request.max_genus < 2:
         return sum(1 for _ in _level(request))
-    keep, counted = _index_tests(request)
-    return sum(_tree(request.max_genus, keep, True, counted, request.mode == "arf"))
+    return sum(_universe(request, count=True)[0])
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:

@@ -5,17 +5,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import pairwise
 
-from .core import NumericalSemigroup, _Value
+from .core import NumericalSemigroup, _bitmask, _Value
 
 
 class RelativeIdeal(_Value):
     """Cofinite set of integers closed under adding members of the ambient semigroup.
 
-    Canonical form: ``members`` lists the elements in [base, threshold) in
-    increasing order, every integer at or above ``threshold`` belongs, and
-    ``threshold`` is minimal (so structural equality is set equality).
-    The instance is immutable.  A member outside [base, threshold) is refused;
-    the members need not come in order.
+    Canonical form, as ``from_members`` and this module's operations build it: ``members``
+    lists the elements in [base, threshold) in increasing order, every integer at or above
+    ``threshold`` belongs, and ``threshold`` is minimal (so structural equality is set
+    equality).  A direct construction is checked for range, not for order: a member outside
+    [base, threshold), or a base above the threshold, is refused.  The instance is immutable.
     """
 
     _fields = ("base", "threshold", "members")
@@ -25,6 +25,8 @@ class RelativeIdeal(_Value):
             low, high = min(members), max(members)
             if low < base or high >= threshold:
                 raise ValueError(f"member {low if low < base else high} is outside [{base}, {threshold})")
+        elif base > threshold:
+            raise ValueError(f"base {base} is above the threshold {threshold}")
         self.__dict__.update(base=base, threshold=threshold, members=members)
 
     @classmethod
@@ -51,27 +53,22 @@ class RelativeIdeal(_Value):
 def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
     """Members of the semigroup from its k-th element upward, as a relative ideal.
 
-    k = 0 gives the semigroup itself; k >= 1 gives a proper ideal.
+    k = 0 gives the semigroup itself; k >= 1 gives a proper ideal.  Below the conductor c, the
+    slice of ``small_elements`` from k to c is canonical as it stands: it is in order, and c - 1
+    is a gap, so c is the least threshold.  From c on, the slice is empty and the threshold is start.
     """
     start = semigroup.element(k)  # refuses k < 0
-    if start >= semigroup.conductor:
-        return RelativeIdeal.from_members((), threshold=start)
-    return RelativeIdeal.from_members(
-        (n for n in semigroup.small_elements if n >= start),
-        threshold=semigroup.conductor,
-    )
+    return RelativeIdeal(start, max(start, semigroup.conductor), semigroup.small_elements[k:-1])
 
 
 def _window(ideal: RelativeIdeal, width: int) -> int:
     """Bit n set for each element base + n of ``ideal``, for n in [0, width).
 
-    One shift-or per member: the members of a tail ideal are few, and a
-    directly constructed ideal need not list them in order.
+    The constructor keeps each member m in [base, threshold), so every index m - base
+    kept lies in [0, width), and ``_bitmask`` takes them in any order.
     """
-    base, low = ideal.base, 0
-    for m in ideal.members:
-        if m < base + width:
-            low |= 1 << (m - base)
+    base = ideal.base
+    low = _bitmask((m - base for m in ideal.members if m < base + width), width)
     return low | (((1 << width) - 1) & (-1 << (ideal.threshold - base)))
 
 
@@ -95,14 +92,14 @@ def ideal_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal
 def is_stable(semigroup: NumericalSemigroup, k: int) -> bool:
     """Whether the k-th tail ideal is principal over its own difference semigroup.
 
-    The generator of a principal tail ideal is forced to be the k-th member,
-    so a single translation equality decides it.
+    The generator of a principal tail ideal is forced to be the k-th member, the
+    tail's base, so a single translation equality decides it.
     """
     if k < 1:
         raise ValueError(f"tail index must be positive, got {k}")
     tail = ideal_at(semigroup, k)
     difference = ideal_difference(tail, tail)
-    return difference.shift(semigroup.element(k)) == tail
+    return difference.shift(tail.base) == tail
 
 
 def is_arf_definition(semigroup: NumericalSemigroup) -> bool:

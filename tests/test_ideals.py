@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sparsegroup import ideals
 from sparsegroup import (
     NumericalSemigroup,
     RelativeIdeal,
@@ -61,6 +62,12 @@ class TestRelativeIdeal:
             RelativeIdeal(3, 9, members)
         assert RelativeIdeal(3, 9, (8, 3)).members == (8, 3)  # the base is allowed, unsorted too
 
+    def test_a_base_above_the_threshold_is_refused(self):
+        """An empty ideal escapes the member check, so the base is compared with the threshold."""
+        with pytest.raises(ValueError, match=r"^base 5 is above the threshold 3$"):
+            RelativeIdeal(5, 3, ())
+        assert RelativeIdeal(3, 3, ()) == RelativeIdeal.from_members([], threshold=3)
+
 
 class TestIdealAt:
     def test_proper_ideal(self):
@@ -90,6 +97,26 @@ class TestIdealAt:
         with pytest.raises(ValueError) as caught:
             ideal_at(gs(1, 2, 4), -1)
         assert str(caught.value) == "member index must be non-negative, got -1"
+
+    def test_slices_small_elements_without_normalising(self, level, monkeypatch):
+        """Every tail to genus 10, genus 0 and indices past the conductor too, equals the canonical
+        ideal of the members from the k-th on, and none goes through ``from_members``."""
+        expected = {}
+        for g in range(11):
+            for node in level(g):
+                for k in range(len(node.small_elements) + 2):
+                    start = node.element(k)
+                    horizon = max(start, node.conductor) + 1
+                    below = [n for n in range(start, horizon) if n in node]
+                    expected[node.gaps, k] = RelativeIdeal.from_members(below, threshold=horizon)
+
+        def refuse(members, threshold):
+            raise AssertionError("ideal_at normalised through from_members")
+
+        monkeypatch.setattr(RelativeIdeal, "from_members", refuse)
+        for (gaps, k), tail in expected.items():
+            assert ideal_at(NumericalSemigroup(gaps), k) == tail, (gaps, k)
+        assert len(expected) == 4081
 
     def test_tail_ideals_absorb_the_semigroup(self, level):
         for g in range(5):
@@ -206,6 +233,13 @@ class TestIsStable:
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
             is_stable(gs(1), 0)
+
+    def test_windows_are_built_by_the_core_bitmask(self, monkeypatch):
+        calls = []
+        bitmask = ideals._bitmask
+        monkeypatch.setattr(ideals, "_bitmask", lambda *args: calls.append(args) or bitmask(*args))
+        assert is_arf_stable(gs(1, 2, 4))
+        assert calls
 
     def test_matches_general_principality_search(self, level):
         # independent decider: a principal ideal's generator is forced to be

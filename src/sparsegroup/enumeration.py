@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
 from .core import NumericalSemigroup, _require_kappa
@@ -49,96 +49,107 @@ def _tree(
     count: bool,
     counted: Callable[[int], bool] | None = None,
     arf: bool = False,
-) -> Iterator[tuple]:
-    """The walk behind ``_walk``, or with ``count`` its deepest level counted from two levels up.
+    bits: int | None = None,
+) -> Iterator:
+    """The walk behind ``_walk``, or with ``count`` one that reads its last two levels off two levels up.
 
-    Without ``count`` it yields what ``_walk`` yields.  With ``count`` (and ``max_genus`` >= 2)
-    it stacks nothing below depth ``max_genus - 2`` and yields one number per node there: how
-    many of its grandchildren ``counted`` accepts (all if ``None``), through the children that
-    ``keep`` accepts.  It then carries each node's Frobenius number F in place of its gaps,
-    which the count never reads.  With ``arf`` it walks the Arf subtree alone: ``_stays_arf``
-    tests each child and grandchild.
+    Without ``count`` it yields what ``_walk`` yields.  With ``count`` it stacks nothing below depth
+    ``max_genus - 2``, whose nodes read their children and grandchildren off their children's
+    generators.  It yields per such node how many grandchildren ``counted`` accepts (all if ``None``)
+    through the children ``keep`` accepts (``max_genus`` >= 2); or with ``bits``, once, a tally per
+    depth: each key's number of nodes that ``keep`` accepts.  The key is the node's leap counts in
+    ``bits``-wide fields, field j holding the leaps of jump j, or its index if ``bits`` is 0.  With
+    ``arf`` it walks the Arf subtree alone: ``_stays_arf`` tests each child and grandchild.
 
-    A child that removes x from a node with Frobenius number F adds exactly
-    one leap, (F, x), so its index is the larger of the node's and x - F.
+    A child that removes x from a node with Frobenius number F adds exactly one leap, (F, x), so its
+    index is the larger of the node's and x - F, and its key is the node's plus that jump.  ``keep``
+    tests the index alone, so a grandchild of its child's index is not tested again.
 
-    A node carries its multiplicity m, its member mask over [0, W], the
-    reversed mask (bit W - n set iff n is a member) and its minimal
-    generators above F.  Its child without x > F has Frobenius number x,
-    keeps the generators above x and gains at most y = x + m: a new one is
-    x + s, s a nonzero member, and none exceeds x + m.  It gains y unless
-    some a in (m, x) has a and y - a as members.  On (m, x) the child and the
-    node agree, so that is one AND of the node's mask with its reversed mask
-    shifted by W - y.  The child without m of an ordinary node is ordinary,
-    with generators m + 1, ..., 2m + 1.  So a child's generators are known
-    before it is stacked, and each x' of them is a grandchild, of index
-    max(the child's index, x' - x).  A child at depth ``max_genus`` is
+    A node carries F, its multiplicity m, index, member mask over [0, W], the reversed mask
+    (bit W - n set iff n is a member), minimal generators above F, and key: its gaps if walking,
+    else its tally key (or index).  Its child without x > F has Frobenius number x, keeps the
+    generators above x and gains at most y = x + m: a new one is x + s, s a nonzero member, and
+    none exceeds x + m.  It gains y unless some a in (m, x) has a and y - a as members.  On (m, x)
+    the child and the node agree, so that is one AND of the node's mask with its reversed mask
+    shifted by W - y.  The child without m of an ordinary node is ordinary, with generators m + 1,
+    ..., 2m + 1.  So a child's generators are known before it is stacked, and each x' of them is a
+    grandchild, of index max(the child's index, x' - x).  A child at depth ``max_genus`` is
     stacked without them, as nothing below it is read.
 
-    The AND runs on the children of nodes at depth d <= ``max_genus - 2``.
-    Such a child's x is at most 2d + 1 and m is at most d + 1, so y <= 3d + 2
-    and W = 3 * ``max_genus`` suffices.
+    The AND runs on the children of nodes at depth d <= ``max_genus - 2``.  Such a child's x is at
+    most 2d + 1 and m is at most d + 1, so y <= 3d + 2 and W = 3 * ``max_genus`` suffices.
     """
-    if keep is not None and not keep(1):
-        return
     width = 3 * max_genus
     everything = (1 << width + 1) - 1
     last = max_genus - 2 if count else -1
-    # depth, gaps or (if counting) F, multiplicity, index, members, reversed members, generators
-    stack = [(0, -1 if count else (), 1, 1, everything, everything, (1,))]
+    if keep is not None and not keep(1):
+        return
+    tallies = [{} for _ in range(max_genus + 1)]
+    stack = [(0, -1, 1, 1, everything, everything, (1,), 0 if bits else 1 if count else ())]
     while stack:
-        depth, trail, multiplicity, index, members, reversed_members, generators = stack.pop()
+        depth, frobenius, multiplicity, index, members, reversed_members, generators, key = stack.pop()
         if not count:
-            yield depth, trail, index
+            yield depth, key, index
+        elif bits is not None:
+            tallies[depth][key] = tallies[depth].get(key, 0) + 1
         if depth == max_genus:
             continue
-        frobenius = trail if count else trail[-1] if trail else -1
         leaves = depth + 1 == max_genus
         total = 0
         for i in reversed(range(min(len(generators), 2) if arf else len(generators))):  # Arf: x <= F + 2
             x = generators[i]
             if arf and not _stays_arf(members, frobenius, x):
                 continue
-            child_index = index if index > x - frobenius else x - frobenius
+            jump = x - frobenius
+            child_index = index if index > jump else jump
             if keep is not None and not keep(child_index):
                 continue
-            if leaves:  # yielded and dropped, so it carries no masks or generators
-                stack.append((depth + 1, trail + (x,), 0, child_index, 0, 0, None))
-                continue
-            if x == multiplicity:
-                child_multiplicity = x + 1
-                child_generators = tuple(range(x + 1, 2 * x + 2))
-            else:
-                child_multiplicity = multiplicity
-                child_generators = generators[i + 1 :]
-                y = x + multiplicity
-                sums = (members & reversed_members >> width - y) >> multiplicity + 1
-                if not sums & (1 << x - multiplicity - 1) - 1:
-                    child_generators += (y,)
-            if depth == last:
-                if arf:
-                    child_members = members ^ 1 << x
-                    child_generators = [g for g in child_generators[:2] if _stays_arf(child_members, x, g)]
-                if counted is None:
-                    total += len(child_generators)
+            if not leaves:  # a child at depth max_genus is yielded or tallied and dropped
+                if x == multiplicity:
+                    child_multiplicity = x + 1
+                    child_generators = tuple(range(x + 1, 2 * x + 2))
                 else:
-                    total += sum(
-                        counted(child_index if child_index > g - x else g - x) for g in child_generators
-                    )
+                    child_multiplicity = multiplicity
+                    child_generators = generators[i + 1 :]
+                    y = x + multiplicity
+                    sums = (members & reversed_members >> width - y) >> multiplicity + 1
+                    if not sums & (1 << x - multiplicity - 1) - 1:
+                        child_generators += (y,)
+                if depth == last:
+                    if arf:
+                        child_members = members ^ 1 << x
+                        child_generators = [
+                            g for g in child_generators[:2] if _stays_arf(child_members, x, g)
+                        ]
+                    if bits is None:
+                        total += len(child_generators) if counted is None else sum(
+                            counted(child_index if child_index > g - x else g - x) for g in child_generators
+                        )
+                        continue
+            child_key = key + (x,) if not count else key + (1 << bits * jump) if bits else child_index
+            if leaves:
+                stack.append((depth + 1, x, 0, child_index, 0, 0, None, child_key))
                 continue
-            stack.append(
-                (
-                    depth + 1,
-                    x if count else trail + (x,),
-                    child_multiplicity,
-                    child_index,
-                    members ^ 1 << x,
-                    reversed_members ^ 1 << width - x,
-                    child_generators,
-                )
-            )
-        if depth == last:
+            if depth == last:
+                tallies[depth + 1][child_key] = tallies[depth + 1].get(child_key, 0) + 1
+                tally = tallies[depth + 2]
+                for g in child_generators:
+                    jump = g - x
+                    if jump > child_index and keep is not None and not keep(jump):
+                        continue
+                    g_key = (  # a grandchild's leap counts, or its index
+                        child_key + (1 << bits * jump) if bits else jump if jump > child_key else child_key
+                    )
+                    tally[g_key] = tally.get(g_key, 0) + 1
+                continue
+            stack.append((
+                depth + 1, x, child_multiplicity, child_index,
+                members ^ 1 << x, reversed_members ^ 1 << width - x, child_generators, child_key,
+            ))
+        if depth == last and bits is None:
             yield total
+    if bits is not None:
+        yield tallies
 
 
 def _stays_arf(members: int, frobenius: int, x: int) -> bool:
@@ -191,9 +202,9 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
 
 
 def _universe(
-    request: EnumerationRequest, count: bool = False
-) -> tuple[Iterator[tuple], Callable[[int], bool] | None]:
-    """The walk over the request's universe, or with ``count`` (genus >= 2) ``_tree``'s counts.
+    request: EnumerationRequest, count: bool = False, bits: int | None = None
+) -> tuple[Iterator, Callable[[int], bool] | None]:
+    """The walk over the request's universe, or with ``count`` ``_tree``'s counts (tallies if ``bits``).
 
     Also returns ``counted``, the member test.  This is where the mode becomes the walk's
     pruning test ``keep`` on a node's index, ``counted`` and the Arf flag (``None`` passes
@@ -207,7 +218,7 @@ def _universe(
         counted = (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
     arf = request.mode == "arf"
     if count or arf:
-        return _tree(request.max_genus, keep, count, counted, arf), counted
+        return _tree(request.max_genus, keep, count, counted, arf, bits), counted
     return _walk(request.max_genus, keep), counted
 
 
@@ -237,7 +248,7 @@ def level_size(request: EnumerationRequest) -> int:
     """
     if request.max_genus < 2:
         return sum(1 for _ in _level(request))
-    return sum(_universe(request, count=True)[0])
+    return sum(_universe(request, True)[0])
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -250,20 +261,13 @@ def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
 
 def enumerate_kappa_sparse(genus: int, kappa: int) -> Iterator[NumericalSemigroup]:
     """Genus-level slice of the kappa-sparse class, via sound subtree pruning."""
-    yield from members(EnumerationRequest(genus, kappa_filter=kappa, mode="kappa_sparse"))
+    yield from members(EnumerationRequest(genus, kappa, "kappa_sparse"))
 
 
 class CensusRow(namedtuple("CensusRow", "genus total per_class profile_histogram")):
     """Counts for a single genus level: ``per_class`` by column, ``profile_histogram`` by profile."""
 
     __slots__ = ()
-
-
-def _add_leap(counts: tuple[int, ...], jump: int) -> tuple[int, ...]:
-    """Leap counts indexed by jump, with one more leap of ``jump``."""
-    if jump < len(counts):
-        return counts[:jump] + (counts[jump] + 1,) + counts[jump + 1 :]
-    return counts + (0,) * (jump - len(counts)) + (1,)
 
 
 def census(request: EnumerationRequest) -> list[CensusRow]:
@@ -273,49 +277,39 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     class, its pure part, or the Arf members); class columns are evaluated
     inside that universe.  Output is deterministic across runs.
 
-    Each walked node adds one to its depth's tally, keyed by its leap counts
-    if profiles are emitted, else by its index.  A child's counts are its
-    parent's with one jump added; their last position is the largest jump,
-    the index (1 at the root, whose counts are empty).  Every column depends
-    on the key alone, so the member test from ``_universe`` and the class tests
-    run once per distinct key, as each row is built after the walk.  The
-    ``arf`` column counts the members on a second walk, of the Arf subtree,
-    except in ``arf`` mode, where it is each row's total.
+    The rows come from ``_tree``'s tallies, one per genus, read off for the
+    last two levels from the nodes two levels up.  A node's key is its index,
+    or if profiles are emitted its leap counts, packed into one int with a
+    field per jump one bit wider than a count of ``max_genus`` needs; so the
+    highest nonzero field, the index, is the key's bit length floor-divided by
+    the field width (1 at the root).  Every column depends on the key alone, so the
+    member test from ``_universe``, the class tests and the unpacking run once
+    per distinct key, as each row is built.  The ``arf`` column counts the
+    members in the tallies of the Arf subtree, walked once; in ``arf`` mode,
+    where that subtree is the universe, it is the row's total.
     """
-    with_profiles = request.emit == "full"
-    if with_profiles:  # only a census with profiles builds them, so no count loads leaps
+    bits = request.max_genus.bit_length() + 1 if request.emit == "full" else 0
+    if bits:  # only a census with profiles builds them, so no count loads leaps
         from .leaps import LeapProfile
-    walk, counted = _universe(request)
-    arf_nodes = () if request.mode == "arf" else _tree(request.max_genus, None, False, arf=True)
-    arf = Counter(depth for depth, _, index in arf_nodes if counted is None or counted(index))
-    # The walk is preorder, so a node's parent is the last node yielded one
-    # level up.  Slot d + 1 holds what the last node at depth d passes to its
-    # children; slot 0 stands in for the root's parent.
-    leap_slots: list[tuple[int, ...]] = [()] * (request.max_genus + 2)
-    tallies: list[dict] = [{} for _ in range(request.max_genus + 1)]
-    for depth, gaps, key in walk:
-        if with_profiles:
-            key = leap_slots[depth]
-            if depth:
-                key = _add_leap(key, gaps[-1] - (gaps[-2] if depth > 1 else -1))
-            leap_slots[depth + 1] = key
-        tally = tallies[depth]
-        tally[key] = tally.get(key, 0) + 1
-    index_of = (lambda counts: max(len(counts) - 1, 1)) if with_profiles else (lambda index: index)
+    (tallies,), counted = _universe(request, True, bits)
+    (arf_tallies,) = (  # in arf mode, with no member test, the column is each total
+        [tallies] if request.mode == "arf" else _tree(request.max_genus, None, True, arf=True, bits=0)
+    )
+    index_of = (lambda key: key.bit_length() // bits or 1) if bits else int  # an index key is the index
     rows = []
     for genus, tally in enumerate(tallies):
         kept = {key: n for key, n in tally.items() if counted is None or counted(index_of(key))}
         total = sum(kept.values())
         # kappa-sparse iff the index (largest leap jump) is at most kappa; pure iff equal
         per_class = {
-            "arf": total if request.mode == "arf" else arf[genus],
+            "arf": sum(n for index, n in arf_tallies[genus].items() if counted is None or counted(index)),
             "sparse": sum(n for key, n in kept.items() if index_of(key) <= 2),
             "kappa_sparse": sum(n for key, n in kept.items() if index_of(key) <= request.kappa),
             "pure_kappa_sparse": sum(n for key, n in kept.items() if index_of(key) == request.kappa),
         }
-        histogram = {
-            LeapProfile(tuple((jump, c) for jump, c in enumerate(counts) if c)): n
-            for counts, n in (kept.items() if with_profiles else ())
-        }
+        histogram = {}
+        for key, n in kept.items() if bits else ():
+            fields = ((jump, key >> bits * jump & (1 << bits) - 1) for jump in range(index_of(key) + 1))
+            histogram[LeapProfile(tuple((jump, c) for jump, c in fields if c))] = n
         rows.append(CensusRow(genus, total, per_class, histogram))
     return rows

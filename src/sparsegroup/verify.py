@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from functools import wraps
 
 from .core import NumericalSemigroup, ordinary
-from .enumeration import EnumerationRequest, _walk, children, enumerate_kappa_sparse
+from .enumeration import EnumerationRequest, _universe, _walk, children
 from .ideals import is_arf_definition, is_arf_double, is_arf_stable
 from .kappa import (
     example_family,
@@ -300,15 +300,21 @@ def _adjunction_stays_in_class(levels: Levels) -> Instances:
 
 @_family("pruned-equals-filtered")
 def _pruned_equals_filtered(levels: Levels) -> Instances:
-    """The pruned class enumerator matches filtering the full enumeration."""
-    for genus, level in enumerate(levels):
-        for kappa in range(2, KAPPA_LIMIT + 1):
-            pruned = {node.gaps for node in enumerate_kappa_sparse(genus, kappa)}
+    """The pruned class walk, once per kappa and bucketed by depth, matches filtering the full levels."""
+    verdicts = {}
+    for kappa in range(2, KAPPA_LIMIT + 1):
+        walk, counted = _universe(EnumerationRequest(len(levels) - 1, kappa, "kappa_sparse"))
+        pruned = [set() for _ in levels]
+        for depth, gaps, index in walk:
+            if counted(index):
+                pruned[depth].add(gaps)
+        for genus, level in enumerate(levels):
             filtered = {node.gaps for node in level if is_kappa_sparse(node, kappa)}
-            if pruned == filtered:
-                yield None
-            else:
-                yield f"genus={genus} kappa={kappa}: {len(pruned)} pruned vs {len(filtered)} filtered"
+            verdicts[genus, kappa] = None if pruned[genus] == filtered else (
+                f"genus={genus} kappa={kappa}: {len(pruned[genus])} pruned vs {len(filtered)} filtered"
+            )
+    for key in sorted(verdicts):  # genus by genus, kappa by kappa
+        yield verdicts[key]
 
 
 @_family("two-block-family-structure")

@@ -405,19 +405,31 @@ class TestEnumerate:
         totals = [int(line.split("\t")[1]) for line in lines[1:]]
         assert totals == [1, 1, 2, 4]
 
-    @pytest.mark.parametrize("flags", [(), ("--kappa", "3")])
+    @pytest.mark.parametrize(
+        "flags", [("--format", "tsv"), ("--format", "tsv", "--kappa", "3"), ("--count-only",)]
+    )
     def test_census_tsv_builds_no_leap_profiles(self, capsys, monkeypatch, flags):
-        """The TSV table has no profile column, so the census must not count leaps for it."""
+        """The TSV table and the count-only census print no profiles, so no tally is keyed on leap counts.
 
-        def refuse(counts, jump):
-            raise AssertionError("leap counts built for a TSV census")
+        A key of packed leap counts has a field per jump; an index key is at most genus + 1.
+        """
+        tree, keys = enumeration._tree, []
 
-        monkeypatch.setattr(enumeration, "_add_leap", refuse)
-        code, out, _ = run(capsys, "enumerate", "--genus", "6", "--census", "--format", "tsv", *flags)
+        def recorded(max_genus, keep, count, counted=None, arf=False, bits=None):
+            assert not bits, "leap counts packed for a census without profiles"
+            for item in tree(max_genus, keep, count, counted, arf, bits):
+                keys.extend(key for tally in item for key in tally)
+                yield item
+
+        monkeypatch.setattr(enumeration, "_tree", recorded)
+        code, out, _ = run(capsys, "enumerate", "--genus", "6", "--census", *flags)
         assert code == 0
-        assert [int(line.split("\t")[1]) for line in out.splitlines()[1:]] == (
-            [1, 1, 2, 4, 7, 12, 23] if not flags else [1, 1, 2, 4, 6, 9, 15]
-        )
+        if "tsv" in flags:
+            totals = [int(line.split("\t")[1]) for line in out.splitlines()[1:]]
+        else:
+            totals = [row["total"] for row in json.loads(out)]
+        assert totals == ([1, 1, 2, 4, 6, 9, 15] if "--kappa" in flags else [1, 1, 2, 4, 7, 12, 23])
+        assert keys and max(keys) <= 7
 
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--genus", "2", "--census")

@@ -38,7 +38,9 @@ from oracle import (
     PUBLISHED_LEVEL_SIZES,
     arf_walk,
     brute_force_gap_sets,
+    is_arf,
     kappa_sparse_walk,
+    leap_counts,
 )
 
 
@@ -254,6 +256,43 @@ def reference_census(request):
         if request.emit == "full":
             histograms[depth][profile] = histograms[depth].get(profile, 0) + 1
     return [CensusRow(g, totals[g], per_class[g], histograms[g]) for g in genera]
+
+
+@functools.cache
+def oracle_level(genus):
+    """Each gap tuple of the brute-force level, with its index, Arf verdict and leap counts.
+
+    The index is the largest jump, 1 at the root; the verdict is the oracle's doubling condition.
+    """
+    nodes = []
+    for gaps in brute_force_gap_sets(genus):
+        jumps = [b - a for a, b in zip((-1,) + gaps, gaps)]
+        nodes.append((max(jumps, default=1), is_arf(gaps), leap_counts(Counter(jumps))))
+    return nodes
+
+
+def oracle_census(request):
+    """Every census cell recounted from ``tests/oracle.py``: the raw gap tuples and its deciders."""
+    kappa = request.kappa
+    rows = []
+    for genus in range(request.max_genus + 1):
+        total, histogram = 0, Counter()
+        per_class = dict.fromkeys(("arf", "sparse", "kappa_sparse", "pure_kappa_sparse"), 0)
+        for index, arf, counts in oracle_level(genus):
+            member = {
+                "all": True, "arf": arf, "kappa_sparse": index <= kappa, "pure_kappa_sparse": index == kappa
+            }[request.mode]
+            if not member:
+                continue
+            total += 1
+            per_class["arf"] += arf
+            per_class["sparse"] += index <= 2
+            per_class["kappa_sparse"] += index <= kappa
+            per_class["pure_kappa_sparse"] += index == kappa
+            if request.emit == "full":
+                histogram[counts] += 1
+        rows.append((genus, total, per_class, histogram))
+    return rows
 
 
 def _count_calls(monkeypatch, *functions):
@@ -548,6 +587,28 @@ class TestCensus:
     def test_matches_the_reference_census(self, mode, emit, kappa):
         request = EnumerationRequest(max_genus=12, kappa_filter=kappa, mode=mode, emit=emit)
         assert census(request) == reference_census(request)
+
+    @pytest.mark.parametrize("emit", EMITS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+    def test_every_cell_matches_the_oracle_levels(self, mode, emit, kappa):
+        """Totals, the four class columns and the profile histogram, against brute-force levels."""
+        request = EnumerationRequest(max_genus=9, kappa_filter=kappa, mode=mode, emit=emit)
+        rows = [
+            (row.genus, row.total, row.per_class, {p.counts: n for p, n in row.profile_histogram.items()})
+            for row in census(request)
+        ]
+        assert rows == oracle_census(request)
+
+    @pytest.mark.parametrize(
+        "max_genus, kappa, mode", [(20, None, "all"), (30, 2, "kappa_sparse"), (30, None, "arf")]
+    )
+    def test_count_only_totals_are_the_level_sizes(self, max_genus, kappa, mode):
+        """The census tallies and ``level_size`` count the same levels by two paths through the walk."""
+        rows = census(EnumerationRequest(max_genus, kappa, mode, "count_only"))
+        assert [row.total for row in rows] == [
+            level_size(EnumerationRequest(genus, kappa, mode)) for genus in range(max_genus + 1)
+        ]
 
     def test_deterministic(self):
         first = census(EnumerationRequest(max_genus=5, kappa_filter=3))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import sparsegroup.enumeration
 import sparsegroup.leaps
 import sparsegroup.verify
 from sparsegroup import NumericalSemigroup, enumerate_genus
@@ -239,11 +240,24 @@ def test_tree_roundtrip_catches_a_node_that_does_not_revalidate():
         ),
         pytest.param(
             "_pruned_equals_filtered",
-            {"enumerate_kappa_sparse": lambda genus, kappa: ()},
+            {"_universe": lambda request: (iter(()), None)},
             real(0),
             "genus=0 kappa=2: 0 pruned vs 1 filtered",
             1,
             id="pruned-vs-filtered",
+        ),
+        pytest.param(
+            # one walk per kappa, but the instances run genus by genus, kappa by kappa
+            "_pruned_equals_filtered",
+            {
+                "_universe": lambda request: (
+                    (iter(()), None) if request.kappa == 4 else sparsegroup.enumeration._universe(request)
+                )
+            },
+            real(2),
+            "genus=0 kappa=4: 0 pruned vs 1 filtered",
+            3,
+            id="pruned-instances-genus-first",
         ),
     ],
 )

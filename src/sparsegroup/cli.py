@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
@@ -36,9 +37,12 @@ def _inputs(args: argparse.Namespace) -> Iterator[tuple[str, Callable[[], Numeri
     else:
         try:  # a leading byte-order mark is read past, and a decode error keeps its byte offset
             with open(args.file, encoding="utf-8") as handle:
-                lines = handle.read().removeprefix("\ufeff").splitlines()
+                lines = handle.read().removeprefix("\ufeff").split("\n")
         except (OSError, UnicodeDecodeError) as exc:
             raise SemigroupError(f"--file {args.file}: {exc}") from None
+        # only "\n" ends a line (CR and CRLF arrive as one); no line follows a final "\n"
+        if not lines[-1]:
+            del lines[-1]
         for number, line in enumerate(lines, start=1):
             yield f"--file {args.file} line {number}", partial(parse_gap_line, line)
 
@@ -263,5 +267,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Exit with ``main()``; a normal return first freezes what is alive, so finalization skips it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import ast
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +147,28 @@ class TestInfo:
             f"error: --file {path}: 'utf-8' codec can't decode byte 0xff in position 7:"
             " invalid start byte\n"
         )
+
+    def test_only_a_newline_ends_a_file_line(self, capsys, tmp_path):
+        """A form feed, U+0085 or U+2028 stays inside its line; CR and CRLF still end one."""
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"1,2,4\f\n1,3\n")
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert [json.loads(line)["gaps"] for line in out.splitlines()] == [[1, 2, 4], [1, 3]]
+        assert (code, err) == (0, "")
+        for separator in "\u0085", "\u2028":
+            line = f"1,3{separator}5"
+            path.write_text(f"{line}\n1,2\n", encoding="utf-8")
+            code, out, err = run(capsys, "classify", "--file", str(path))
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: --file {path} line 1: cannot parse gap list {line!r}: "
+                f"invalid literal for int() with base 10: {line[2:]!r}\n"
+            )
+        for newline in b"\r\n", b"\r":
+            path.write_bytes(b"1,2,4" + newline + b"1,3" + newline)
+            code, out, err = run(capsys, "classify", "--file", str(path))
+            assert [json.loads(line)["gaps"] for line in out.splitlines()] == [[1, 2, 4], [1, 3]]
+            assert (code, err) == (0, "")
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "info", "--gaps", "1,2,4")
@@ -476,20 +505,85 @@ class TestVerify:
         assert (code, out, err) == (2, "", "error: max_genus 19 exceeds the cap 18\n")
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def spawn(*argv: str, env: dict[str, str] | None = None, **options) -> subprocess.CompletedProcess[str]:
+    """``python <argv>`` in a fresh process with the package on its path, output captured."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(ROOT / "src")}
+    options.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, check=False, **options,
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parent.parent / "src"
-        result = subprocess.run(
-            [sys.executable, "-m", "sparsegroup", "info", "--gaps", "1,2,4"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-        assert result.returncode == 0
+        result = spawn("-m", "sparsegroup", "info", "--gaps", "1,2,4")
+        assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout)["genus"] == 3
+
+    def test_a_normal_return_freezes_what_is_alive_before_finalization(self):
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['sparsegroup', 'enumerate', '--genus', '3', '--count-only']\n"
+            "runpy.run_module('sparsegroup', run_name='__main__')\n"
+        )
+        result = spawn("-c", code)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "4\nTrue\n", "")
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "classify", "--gaps", "1,2,4")[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_the_console_script_calls_what_the_module_calls(self):
+        """``[project.scripts]`` names the function that ``__main__.py`` imports and calls."""
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^sparsegroup = "sparsegroup\.cli:(\w+)"$', pyproject, re.MULTILINE)
+        body = ast.parse((ROOT / "src" / "sparsegroup" / "__main__.py").read_text(encoding="utf-8")).body
+        assert [ast.dump(node) for node in body] == [
+            ast.dump(ast.ImportFrom("cli", [ast.alias(target[1])], 1)),
+            ast.dump(ast.Expr(ast.Call(ast.Name(target[1], ast.Load()), [], []))),
+        ]
+
+    REFUSAL = "error: --gaps '1,3,4': 2 and 2 are non-gaps but their sum 4 is a gap\n"
+    USAGE = (
+        "usage: sparsegroup [-h] {info,check,leaps,classify,enumerate,verify} ...\n"
+        "sparsegroup: error: argument command: invalid choice: 'frobnicate' "
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code, stderr",
+        [
+            (["check", "--hyperelliptic", "--gaps", "1,2,4"], 1, ""),
+            (["info", "--gaps", "1,3,4"], 2, re.escape(REFUSAL)),
+            (["frobnicate"], 2, re.escape(USAGE) + r"\(choose from .*\)\n"),
+            (["--help"], 0, ""),
+        ],
+    )
+    def test_exit_status_and_stderr(self, argv, code, stderr):
+        result = spawn("-m", "sparsegroup", *argv)
+        assert result.returncode == code
+        assert re.fullmatch(stderr, result.stderr)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_full_stdout_fails_the_final_flush(self):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            result = spawn("-m", "sparsegroup", "info", "--gaps", "1,2,4", env=env, stdout=full)
+        # Python 3.13 names the failed flush rather than the stream object
+        if sys.version_info < (3, 13):
+            first = r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' [^\n]*>\n"
+        else:
+            first = r"Exception ignored on flushing sys\.stdout:\n"
+        assert result.returncode == 120
+        assert re.fullmatch(first + r"OSError: \[Errno 28\] No space left on device\n", result.stderr)
+
+    def test_a_closed_stdout_is_no_error(self):
+        result = spawn(
+            "-m", "sparsegroup", "info", "--gaps", "1,2,4", stdout=None, preexec_fn=lambda: os.close(1)
+        )
+        assert (result.returncode, result.stderr) == (0, "")

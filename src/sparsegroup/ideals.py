@@ -15,7 +15,8 @@ class RelativeIdeal(_Value):
     lists the elements in [base, threshold) in increasing order, every integer at or above
     ``threshold`` belongs, and ``threshold`` is minimal (so structural equality is set
     equality).  A direct construction is checked for range, not for order: a member outside
-    [base, threshold), or a base above the threshold, is refused.  The instance is immutable.
+    [base, threshold), or a base above the threshold, is refused.  ``_unchecked`` checks
+    nothing, for the ideals this module builds canonical.  The instance is immutable.
     """
 
     _fields = ("base", "threshold", "members")
@@ -30,24 +31,38 @@ class RelativeIdeal(_Value):
         self.__dict__.update(base=base, threshold=threshold, members=members)
 
     @classmethod
+    def _unchecked(cls, base: int, threshold: int, members: tuple[int, ...]) -> RelativeIdeal:
+        """Construction without validation, for an ideal that is canonical by construction."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(base=base, threshold=threshold, members=members)
+        return ideal
+
+    @classmethod
     def from_members(cls, members: Iterable[int], threshold: int) -> RelativeIdeal:
         """Build from the explicit members below ``threshold`` and normalise."""
-        below = sorted({m for m in members if m < threshold})
-        cut = threshold
-        while below and below[-1] == cut - 1:
-            below.pop()
-            cut -= 1
-        base = below[0] if below else cut
-        return cls(base, cut, tuple(below))
+        return _normalised(sorted({m for m in members if m < threshold}), threshold)
 
     def __contains__(self, n: int) -> bool:
         return n >= self.threshold or n in self.members
 
     def shift(self, z: int) -> RelativeIdeal:
         """Translate every element by ``z``."""
-        return RelativeIdeal(
+        return RelativeIdeal._unchecked(
             self.base + z, self.threshold + z, tuple(m + z for m in self.members)
         )
+
+
+def _normalised(below: list[int], threshold: int) -> RelativeIdeal:
+    """The canonical ideal of the members ``below`` and every integer from ``threshold`` on.
+
+    ``below`` must be ascending, distinct and under ``threshold``; it is consumed.  The members
+    that run up to the threshold join the tail, so the threshold is least.
+    """
+    cut = threshold
+    while below and below[-1] == cut - 1:
+        below.pop()
+        cut -= 1
+    return RelativeIdeal._unchecked(below[0] if below else cut, cut, tuple(below))
 
 
 def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
@@ -58,7 +73,7 @@ def ideal_at(semigroup: NumericalSemigroup, k: int) -> RelativeIdeal:
     is a gap, so c is the least threshold.  From c on, the slice is empty and the threshold is start.
     """
     start = semigroup.element(k)  # refuses k < 0
-    return RelativeIdeal(start, max(start, semigroup.conductor), semigroup.small_elements[k:-1])
+    return RelativeIdeal._unchecked(start, max(start, semigroup.conductor), semigroup.small_elements[k:-1])
 
 
 def _window(ideal: RelativeIdeal, width: int) -> int:
@@ -85,8 +100,8 @@ def ideal_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal
     outside = ((1 << width) - 1) & ~window
     inside = window if right is left else _window(right, width)
     offset = left.base - right.base
-    accepted = [offset + s for s in range(width) if not inside & (outside >> s)]
-    return RelativeIdeal.from_members(accepted, threshold=offset + width)
+    accepted = [offset + s for s in range(width) if not inside & (outside >> s)]  # ascending, distinct
+    return _normalised(accepted, offset + width)
 
 
 def is_stable(semigroup: NumericalSemigroup, k: int) -> bool:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property
+from itertools import repeat
 from operator import sub
 
-from .core import NumericalSemigroup, _Value
+from .core import NumericalSemigroup, _memo, _Value
 
 
 class Leap(namedtuple("Leap", "lo hi")):
@@ -31,7 +31,7 @@ class LeapProfile(_Value):
     def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
         self.__dict__["counts"] = counts
 
-    @cached_property
+    @_memo
     def _by_jump(self) -> dict[int, int]:
         return dict(self.counts)
 
@@ -74,9 +74,12 @@ class LeapProfile(_Value):
 
 
 def leap_set(semigroup: NumericalSemigroup) -> tuple[Leap, ...]:
-    """All leaps in gap order; empty for the full naturals."""
+    """All leaps in gap order; empty for the full naturals.
+
+    Each ``Leap`` is made by ``tuple.__new__`` straight from its pair, so no Python frame runs per leap.
+    """
     gaps = semigroup.gaps
-    return tuple(Leap(lo, hi) for lo, hi in zip((-1,) + gaps[:-1], gaps))
+    return tuple(map(tuple.__new__, repeat(Leap), zip((-1,) + gaps[:-1], gaps)))
 
 
 def _count_jumps(semigroup: NumericalSemigroup) -> LeapProfile:
@@ -92,11 +95,12 @@ def _scan_largest_jump(semigroup: NumericalSemigroup) -> int:
     return max(map(sub, gaps, (-1,) + gaps), default=0)
 
 
-# Each statistic is memoized in the instance ``__dict__``, as ``cached_property``
-# does for ``small_elements``.  Each key is filled only by its own pass, so the
-# gap-spacing decider never reads the profile and the profile-sum decider never
-# reads the jump.  A hit is one lookup in a ``try``, since the deciders read
-# them once per (semigroup, kappa).
+# Each statistic is memoized in the instance ``__dict__``, as ``core._memo`` does
+# for ``small_elements``, and like it without a lock: a race on a first read
+# scans twice and stores equal values.  Each key is filled only by its own pass,
+# so the gap-spacing decider never reads the profile and the profile-sum decider
+# never reads the jump.  A hit is one lookup in a ``try``, since the deciders
+# read them once per (semigroup, kappa).
 
 
 def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:

@@ -85,25 +85,28 @@ def _tree_roundtrip(levels: Levels) -> Instances:
     """Every node revalidates, is unique on its level, and is a child of its parent.
 
     Each level is also complete: its size is the number of children, by the
-    reference ``children``, of the level above.
+    reference ``children``, of the level above.  Nodes are keyed by their gap
+    tuples, and a parent's gaps are its child's without the last.  Each
+    parent's children stay a tuple, so a child listed twice counts twice.
     """
-    offspring: dict[NumericalSemigroup, tuple[NumericalSemigroup, ...]] = {}
+    offspring: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for genus, level in enumerate(levels):
-        if len(set(level)) != len(level):
+        if len({node.gaps for node in level}) != len(level):
             yield f"duplicates at genus {genus}"
         if genus > 0 and len(level) != (made := sum(map(len, offspring.values()))):
             yield f"genus {genus}: {len(level)} nodes, but genus {genus - 1} has {made} children"
         for node in level:
+            gaps = node.gaps
             try:
-                NumericalSemigroup.from_gaps(node.gaps)
+                NumericalSemigroup.from_gaps(gaps)
             except Exception as exc:  # noqa: BLE001
                 yield f"{_gapstr(node)}: {exc}"
-            if genus == 0 or node in offspring.get(parent := node.adjoin_frobenius(), ()):
+            if genus == 0 or gaps in offspring.get(gaps[:-1], ()):
                 yield None
             else:
-                yield f"{_gapstr(node)} is not a child of {_gapstr(parent)}"
+                yield f"{_gapstr(node)} is not a child of gaps={list(gaps[:-1])}"
         if genus + 1 < len(levels):
-            offspring = {node: children(node) for node in level}
+            offspring = {node.gaps: tuple(child.gaps for child in children(node)) for node in level}
 
 
 @_family("arf-deciders-agree")
@@ -264,24 +267,26 @@ def _intersection_stays_in_class(levels: Levels) -> Instances:
 
     A meet's gap set is the union of the pair's, so the pair's OR of gap masks
     keys it: each distinct meet is built once and tested at every kappa whose
-    class holds both semigroups of each pair that reaches it.
+    class holds both semigroups of each pair that reaches it.  Each node's
+    classes are a mask, bit kappa set for each kappa, so the classes a pair
+    shares are one AND, and a pair that shares none is passed over at once.
     """
     pool = [
-        (node, [kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)])
+        (node, sum(1 << kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)))
         for node in _nodes(levels[: PAIR_GENUS + 1])
     ]
     meets: dict[int, NumericalSemigroup] = {}
-    for i, (a, a_classes) in enumerate(pool):
-        for b, b_classes in pool[i:]:
-            both = [kappa for kappa in a_classes if kappa in b_classes]
-            if both:
+    for i, (a, a_mask) in enumerate(pool):
+        for b, b_mask in pool[i:]:
+            if both := a_mask & b_mask:
                 union = a.gap_mask | b.gap_mask
                 meet = meets.get(union)
                 if meet is None:
                     meet = meets[union] = a.intersect(b)
-                for kappa in both:
-                    stays = is_kappa_sparse(meet, kappa)
-                    yield None if stays else f"{_gapstr(a)} meet {_gapstr(b)} leaves class {kappa}"
+                for kappa in (2, 3, 4):
+                    if both >> kappa & 1:
+                        stays = is_kappa_sparse(meet, kappa)
+                        yield None if stays else f"{_gapstr(a)} meet {_gapstr(b)} leaves class {kappa}"
 
 
 @_family("adjunction-stays-in-class")

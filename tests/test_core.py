@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import threading
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -22,6 +24,7 @@ from sparsegroup import (
 )
 from sparsegroup import core
 from sparsegroup.enumeration import EnumerationRequest, _walk
+from sparsegroup.leaps import LeapProfile
 from sparsegroup.verify import run_checks
 
 from oracle import (
@@ -284,6 +287,93 @@ class TestDerivedData:
         record = gs(1, 2, 4).describe()
         assert list(record) == ["gaps", "generators", "genus", "conductor", "frobenius"]
         assert record["frobenius"] == 4
+
+
+# Every value a semigroup memoizes on itself, each a ``core._memo``.
+MEMOIZED = (
+    "genus",
+    "conductor",
+    "frobenius",
+    "gap_mask",
+    "_member_digits",
+    "small_elements",
+    "multiplicity",
+    "minimal_generators",
+)
+
+
+class TestMemo:
+    """``core._memo`` stores its value in the instance ``__dict__`` without taking a lock."""
+
+    def test_every_memoized_name_is_a_cached_property(self):
+        members = vars(NumericalSemigroup)
+        memoized = {name for name, value in members.items() if isinstance(value, core._memo)}
+        assert memoized == set(MEMOIZED)
+        assert all(isinstance(members[name], cached_property) for name in MEMOIZED)
+        assert isinstance(vars(LeapProfile)["_by_jump"], core._memo)
+
+    def test_computes_once_per_instance_and_stores_in_vars(self, monkeypatch):
+        original = vars(NumericalSemigroup)["small_elements"]
+        calls = []
+
+        def counted(semigroup):
+            calls.append(semigroup)
+            return original.func(semigroup)
+
+        memo = core._memo(counted)
+        memo.__set_name__(NumericalSemigroup, "small_elements")
+        monkeypatch.setattr(NumericalSemigroup, "small_elements", memo)
+        a, b = gs(1, 2, 4), gs(1, 2, 4)
+        assert [a.small_elements, a.small_elements, b.small_elements] == [(0, 3, 5)] * 3
+        assert [a.element(1), b.element(2)] == [3, 5]
+        assert len(calls) == 2 and calls[0] is a and calls[1] is b
+        assert vars(a)["small_elements"] == vars(b)["small_elements"] == (0, 3, 5)
+        assert NumericalSemigroup.small_elements is memo  # read on the class: the descriptor
+
+    def test_values_survive_a_tracer_style_rewrap(self, monkeypatch):
+        """A plain ``cached_property`` around a wrapped ``func`` memoizes the same values."""
+        walked = [gaps for _, gaps, _ in _walk(7)]
+        expected = [
+            [getattr(NumericalSemigroup._unchecked(gaps), name) for name in MEMOIZED] for gaps in walked
+        ]
+        read = Counter()
+        for name in MEMOIZED:
+            attr = vars(NumericalSemigroup)[name]
+
+            def wrap(func, name=name):
+                def traced(semigroup):
+                    read[name] += 1
+                    return func(semigroup)
+
+                return traced
+
+            rewrapped = cached_property(wrap(attr.func))
+            rewrapped.__set_name__(NumericalSemigroup, name)
+            monkeypatch.setattr(NumericalSemigroup, name, rewrapped)
+        fresh = [NumericalSemigroup._unchecked(gaps) for gaps in walked]
+        assert [[getattr(node, name) for name in MEMOIZED] for node in fresh] == expected
+        assert read == {name: len(walked) for name in MEMOIZED}
+
+    def test_concurrent_first_reads_store_equal_values(self):
+        gaps = NumericalSemigroup.from_generators([31, 37, 41]).gaps
+        reference = NumericalSemigroup.from_gaps(gaps)
+        expected = (reference.small_elements, reference.minimal_generators)
+        for _ in range(20):
+            fresh = NumericalSemigroup._unchecked(gaps)
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read(fresh=fresh, barrier=barrier, seen=seen):
+                barrier.wait()
+                seen.append((fresh.small_elements, fresh.minimal_generators))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert seen == [expected] * 4
+            assert (vars(fresh)["small_elements"], vars(fresh)["minimal_generators"]) == expected
 
 
 class TestIntersect:

@@ -208,6 +208,22 @@ def test_difference_matches_the_set_definition_for_every_pair_of_tails_to_genus_
     assert pairs > 1000
 
 
+def test_unchecked_ideals_pass_validation_and_are_canonical_to_genus_nine(level):
+    """Tails, self-differences and shifts skip the constructor's checks; each would pass them."""
+    built = 0
+    for g in range(10):
+        for node in level(g):
+            for k in range(len(node.small_elements) + 2):
+                tail = ideal_at(node, k)
+                difference = ideal_difference(tail, tail)
+                for ideal in (tail, difference, difference.shift(tail.base), tail.shift(-k)):
+                    base, threshold, members = ideal.base, ideal.threshold, ideal.members
+                    assert RelativeIdeal(base, threshold, members) == ideal
+                    assert RelativeIdeal.from_members(members, threshold) == ideal
+                    built += 1
+    assert built == 4 * 2185  # (node, k) pairs
+
+
 def test_difference_does_not_rely_on_sorted_members():
     scrambled = RelativeIdeal(3, 12, (9, 3, 7, 10, 5))
     ordered = RelativeIdeal(3, 12, (3, 5, 7, 9, 10))

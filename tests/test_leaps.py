@@ -279,3 +279,15 @@ class TestPerObjectMemo:
         assert not is_kappa_sparse_profile(semigroup, 3)
         with pytest.raises(RuntimeError):
             max_leap_jump(semigroup)
+
+
+def test_leap_set_matches_the_gap_pairs_to_genus_ten(level):
+    assert leap_set(gs()) == ()
+    for g in range(11):
+        for node in level(g):
+            gaps = node.gaps
+            pairs = tuple(zip((-1,) + gaps[:-1], gaps))
+            leaps = leap_set(node)
+            assert leaps == pairs
+            assert all(type(leap) is Leap for leap in leaps)
+            assert [leap.jump for leap in leaps] == [hi - lo for lo, hi in pairs]

@@ -85,6 +85,15 @@ def test_tree_roundtrip_catches_a_duplicate():
     assert result == CheckResult("tree-parent-roundtrip", 3, "duplicates at genus 2")
 
 
+def test_tree_roundtrip_counts_a_child_listed_twice(monkeypatch):
+    """Each parent's children stay a tuple, so a duplicated child changes the level count."""
+    monkeypatch.setattr(sparsegroup.verify, "children", lambda node: children(node) + children(node)[:1])
+    result = sparsegroup.verify._tree_roundtrip(real(2))
+    assert result == CheckResult(
+        "tree-parent-roundtrip", 2, "genus 1: 1 nodes, but genus 0 has 2 children"
+    )
+
+
 def test_tree_roundtrip_catches_a_node_that_does_not_revalidate():
     levels = real(2)
     levels[2][-1] = NumericalSemigroup._unchecked((2, 3))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
@@ -147,13 +148,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise SemigroupError("--arf cannot be combined with --kappa/--pure")
     _check_genus_cap(args.genus, args.cap)
 
-    mode = "all"
-    if args.arf:
-        mode = "arf"
-    elif args.pure:
-        mode = "pure_kappa_sparse"
-    elif args.kappa is not None:
-        mode = "kappa_sparse"
+    mode = "arf" if args.arf else "all"
+    if args.kappa is not None:
+        mode = "pure_kappa_sparse" if args.pure else "kappa_sparse"
     request = EnumerationRequest(
         max_genus=args.genus,
         kappa_filter=args.kappa,
@@ -207,9 +204,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             failed += 1
             print(f"FAIL {result.name}: {result.counterexample}")
-    verdict = "all passed" if failed == 0 else f"{failed} failed"
+    verdict = f"{failed} failed" if failed else "all passed"
     print(f"checked {len(results)} invariant families over genus <= {args.max_genus}: {verdict}")
-    return 0 if failed == 0 else 1
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,8 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:  # covers SemigroupError and bad numeric arguments
@@ -268,8 +264,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with ``main()``; a normal return first freezes what is alive, so finalization skips it."""
-    code = main()
+    """Exit with ``main()``; a return first freezes what is alive, so finalization skips it.
+
+    A reader that closes stdout early, as ``head`` does, ends the run quietly with status
+    141, which a shell reports for a writer killed by SIGPIPE (128 + 13).
+    """
+    try:
+        code = main()
+    except BrokenPipeError:  # fd 1 now discards, so the final flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = 141
     gc.freeze()
     sys.exit(code)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import pairwise
 
-from .core import NumericalSemigroup, _bitmask, _Value
+from .core import NumericalSemigroup, _bitmask, _bits, _Value
 
 
 class RelativeIdeal(_Value):
@@ -87,34 +87,49 @@ def _window(ideal: RelativeIdeal, width: int) -> int:
     return low | (((1 << width) - 1) & (-1 << (ideal.threshold - base)))
 
 
+def _fits(inside: int, window: int, width: int) -> int:
+    """Bit s set for each shift s in [0, width) that moves every bit of ``inside`` into ``window``.
+
+    Both masks lie in [0, width), and a bit moved to width or past it lands in the tail, so s
+    fits when ``inside`` meets none of the window's clear bits shifted down by s.  The accepted
+    shifts go to ``_bitmask`` in one pass; a sum of powers of two would copy the growing mask
+    once per shift.
+    """
+    outside = ((1 << width) - 1) & ~window
+    return _bitmask((s for s in range(width) if not inside & (outside >> s)), width)
+
+
 def ideal_difference(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     """All shifts z such that ``right`` translated by z sits inside ``left``.
 
     Any z >= threshold(left) - base(right) lands in left's tail, and no z below
     base(left) - base(right) fits.  Between, z = base(left) - base(right) + s fits exactly when
-    right's mask over the window [base(left), threshold(left)) meets none of left's non-elements
-    shifted down by s.  A self-difference, as ``is_stable`` asks, builds the window once.
+    right's window of the same width as left's, each bit n taken to base(left) + n + s, lands
+    inside left: bit s of ``_fits``, the one shift test, which ``is_stable`` reads as a mask.
+    A self-difference builds the window once.
     """
     width = left.threshold - left.base
     window = _window(left, width)
-    outside = ((1 << width) - 1) & ~window
     inside = window if right is left else _window(right, width)
     offset = left.base - right.base
-    accepted = [offset + s for s in range(width) if not inside & (outside >> s)]  # ascending, distinct
+    accepted = [offset + s for s in _bits(_fits(inside, window, width))]  # ascending, distinct
     return _normalised(accepted, offset + width)
 
 
 def is_stable(semigroup: NumericalSemigroup, k: int) -> bool:
-    """Whether the k-th tail ideal is principal over its own difference semigroup.
+    """Whether the k-th tail ideal T is principal over its own difference semigroup T - T.
 
-    The generator of a principal tail ideal is forced to be the k-th member, the
-    tail's base, so a single translation equality decides it.
+    The generator of a principal tail ideal is forced to be the k-th member, the tail's
+    base b, so T is stable iff T - T = T - b.  No z < 0 lies in either side and every
+    z >= threshold - b lies in both, so the test is whether the shifts in [0, threshold - b)
+    that keep T inside itself, ``_fits`` of T's window, are exactly T's window relative to b.
     """
     if k < 1:
         raise ValueError(f"tail index must be positive, got {k}")
     tail = ideal_at(semigroup, k)
-    difference = ideal_difference(tail, tail)
-    return difference.shift(tail.base) == tail
+    width = tail.threshold - tail.base
+    window = _window(tail, width)
+    return _fits(window, window, width) == window
 
 
 def is_arf_definition(semigroup: NumericalSemigroup) -> bool:

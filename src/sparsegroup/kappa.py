@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import indexOf, sub
+from operator import sub
 
 from .core import NumericalSemigroup, SemigroupError, _check_conductor, _require_kappa
 from .leaps import Leap, is_hyperelliptic, leap_profile, max_leap_jump
@@ -50,8 +50,9 @@ def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
     if type(kappa) is not int or kappa < 2:
         _require_kappa(kappa, 2)
     small = semigroup.small_elements
-    # small[j + kappa - 1] - small[j] for each window of kappa members; none if there are fewer
-    return min(map(sub, small[kappa - 1 :], small), default=kappa) >= kappa
+    # small[j + kappa - 1] - small[j] for each window of kappa members; with fewer members there
+    # is no window and the test holds vacuously (written out: a keyword to ``min`` costs per call)
+    return len(small) < kappa or min(map(sub, small[kappa - 1 :], small)) >= kappa
 
 
 def is_kappa_sparse_run(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -176,11 +177,15 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
         label = "sparse"
     else:
         label = f"pure-{index}-sparse"
-    gaps = semigroup.gaps
+    # The first leap with the largest jump, read off the member digits.  For positive genus
+    # 1 is a gap, so the first leap is (-1, 1), of jump 2; a larger jump is a gap, index - 1
+    # members and a gap.  The full naturals (index 1) have no leap.
     witness = None
-    if gaps:  # some leap has the largest jump; ``indexOf`` stops at the first
-        hi = gaps[indexOf(map(sub, gaps, (-1,) + gaps), index)]
-        witness = Leap(hi - index, hi)
+    if index == 2:
+        witness = Leap(-1, 1)
+    elif index > 2:
+        lo = semigroup._member_digits.find("0" + "1" * (index - 1) + "0")
+        witness = Leap(lo, lo + index)
     return Classification(
         genus=genus,
         conductor=semigroup.conductor,

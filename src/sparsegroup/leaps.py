@@ -92,7 +92,7 @@ def _count_jumps(semigroup: NumericalSemigroup) -> LeapProfile:
 def _scan_largest_jump(semigroup: NumericalSemigroup) -> int:
     """The scan behind :func:`max_leap_jump`: one pass over the gaps."""
     gaps = semigroup.gaps
-    return max(map(sub, gaps, (-1,) + gaps), default=0)
+    return max(map(sub, gaps, (-1,) + gaps)) if gaps else 0
 
 
 # Each statistic is memoized in the instance ``__dict__``, as ``core._memo`` does

@@ -582,6 +582,27 @@ class TestEntryPoint:
         assert result.returncode == 120
         assert re.fullmatch(first + r"OSError: \[Errno 28\] No space left on device\n", result.stderr)
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_reader_that_closes_early_ends_the_run_quietly(self, unbuffered):
+        """As under ``| head -1``: the reader takes one line and closes; the run exits 141, silent.
+
+        Genus 16 prints about 310 kB, several times a pipe's default capacity, so the
+        writer meets the closed pipe while ``main()`` still runs.
+        """
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(ROOT / "src")
+        argv = [sys.executable, "-m", "sparsegroup", "enumerate", "--genus", "16"]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, **pipes) as process:
+            first = process.stdout.readline()
+            process.stdout.close()
+            code = process.wait(timeout=120)
+            stderr = process.stderr.read()
+        assert json.loads(first) == {"gaps": list(range(1, 17))}
+        assert (code, stderr) == (141, b"")
+
     def test_a_closed_stdout_is_no_error(self):
         result = spawn(
             "-m", "sparsegroup", "info", "--gaps", "1,2,4", stdout=None, preexec_fn=lambda: os.close(1)

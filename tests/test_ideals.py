@@ -233,6 +233,30 @@ def test_difference_does_not_rely_on_sorted_members():
     assert ideal_difference(scrambled, scrambled) == ideal_difference(ordered, ordered)
 
 
+def test_difference_of_distinct_tails_matches_the_members_it_fits_to_genus_nine(level):
+    """Each shift z tested on every element n of ``right`` that z could move outside ``left``.
+
+    No z below base(left) - base(right) fits, and every z from threshold(left) - base(right)
+    on does.  The scan starts two below, and z + n lands in left's tail once
+    n >= threshold(left) - z, so it needs only the n below base(right) + width + 2.
+    """
+    pairs = 0
+    for g in range(10):
+        for node in level(g):
+            tails = [ideal_at(node, k) for k in range(len(node.small_elements))]
+            for left in tails:
+                width = left.threshold - left.base
+                for right in tails:
+                    if right is left:
+                        continue
+                    elements = [n for n in range(right.base, right.base + width + 2) if n in right]
+                    start, stop = left.base - right.base, left.threshold - right.base
+                    fitting = [z for z in range(start - 2, stop) if all(n + z in left for n in elements)]
+                    assert ideal_difference(left, right) == RelativeIdeal.from_members(fitting, stop)
+                    pairs += 1
+    assert pairs == 9236
+
+
 class TestIsStable:
     def test_stable_tail(self):
         assert is_stable(gs(1, 2, 4), 1)
@@ -256,6 +280,18 @@ class TestIsStable:
         monkeypatch.setattr(ideals, "_bitmask", lambda *args: calls.append(args) or bitmask(*args))
         assert is_arf_stable(gs(1, 2, 4))
         assert calls
+
+    def test_matches_the_shifted_self_difference_to_genus_thirteen(self, level):
+        """The mask comparison against T - T shifted by the tail's base, equal to T, at every k."""
+        tails = 0
+        for g in range(14):
+            for node in level(g):
+                for k in range(1, len(node.small_elements) + 2):
+                    tail = ideal_at(node, k)
+                    difference = ideal_difference(tail, tail)
+                    assert is_stable(node, k) == (difference.shift(tail.base) == tail), (node.gaps, k)
+                    tails += 1
+        assert tails == 22027
 
     def test_matches_general_principality_search(self, level):
         # independent decider: a principal ideal's generator is forced to be

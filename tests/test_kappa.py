@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+from operator import indexOf, sub
 
 import pytest
 
@@ -101,6 +102,32 @@ class TestDecisionProcedures:
                     assert verdict or kappa <= span
                 assert is_kappa_sparse_nongap(node, 10**9)
         assert is_kappa_sparse_nongap(gs(), 2)  # span 0: no window at all
+
+    def test_member_spacing_matches_its_keyword_form(self, level, classify_file_lines):
+        """The explicit vacuous case against ``min(..., default=kappa) >= kappa``.
+
+        Every node to genus 13 at every kappa in [2, genus + 3] and at the member count
+        and one past it, where the last window disappears; and every line of the
+        classify_file benchmark input at its sparseness index and both neighbours.
+        """
+
+        def keyword_form(semigroup, kappa):
+            small = semigroup.small_elements
+            return min(map(sub, small[kappa - 1 :], small), default=kappa) >= kappa
+
+        pairs = []
+        for g in range(14):
+            for node in level(g):
+                count = len(node.small_elements)
+                pairs += [(node, kappa) for kappa in {*range(2, g + 4), count, count + 1} if kappa >= 2]
+        for gaps in classify_file_lines:
+            semigroup = NumericalSemigroup.from_gaps(gaps)
+            index = sparseness_index(semigroup)
+            pairs += [(semigroup, kappa) for kappa in (index - 1, index, index + 1) if kappa >= 2]
+        for semigroup, kappa in pairs:
+            assert is_kappa_sparse_nongap(semigroup, kappa) == keyword_form(semigroup, kappa)
+        assert any(not semigroup.genus for semigroup, _ in pairs)
+        assert len(pairs) > 30000
 
     @pytest.mark.parametrize(
         "semigroup, kappa",
@@ -320,6 +347,23 @@ class TestReport:
         assert result.pure_witness == witness
         if witness is not None:
             assert witness.jump == result.sparseness_index
+
+    def test_pure_witness_matches_the_gap_scan(self, level, classify_file_lines):
+        """The witness read off the member digits, against the first gap whose leap has the index.
+
+        Every node to genus 14 and every line of the classify_file benchmark input.
+        """
+        semigroups = [node for g in range(15) for node in level(g)]
+        semigroups += map(NumericalSemigroup.from_gaps, classify_file_lines)
+        for semigroup in semigroups:
+            result = classify(semigroup)
+            index, gaps = result.sparseness_index, semigroup.gaps
+            if not gaps:
+                assert result.pure_witness is None
+                continue
+            hi = gaps[indexOf(map(sub, gaps, (-1,) + gaps), index)]
+            assert result.pure_witness == Leap(hi - index, hi), gaps
+        assert len(semigroups) == 4107 + 400  # OEIS A007323 summed to genus 14, then the file
 
     def test_kappa_one_reports_two_checks(self):
         checks = sparseness_report(gs(1), 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -14,9 +15,9 @@ from functools import partial
 from .core import (
     DEFAULT_GENUS_CAP,
     InvalidGenerator,
-    LimitExceeded,
     NumericalSemigroup,
     SemigroupError,
+    _check_genus,
     _parse_int_list,
     _require_kappa,
     format_gap_line,
@@ -71,6 +72,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
+    kappa = args.kappa if args.kappa is not None else args.pure
     # each predicate imports only its own module
     if args.arf:
         from .ideals import is_arf_double as predicate
@@ -83,11 +85,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         name = "hyperelliptic"
     elif args.kappa is not None:
         from .kappa import is_kappa_sparse
-        name, predicate = "kappa_sparse", lambda s: is_kappa_sparse(s, args.kappa)
+        name, predicate = "kappa_sparse", partial(is_kappa_sparse, kappa=kappa)
     else:
         from .kappa import is_pure_kappa_sparse
-        name, predicate = "pure_kappa_sparse", lambda s: is_pure_kappa_sparse(s, args.pure)
-    kappa = args.kappa if args.kappa is not None else args.pure
+        name, predicate = "pure_kappa_sparse", partial(is_pure_kappa_sparse, kappa=kappa)
     if kappa is not None:
         _require_kappa(kappa, 1)  # before any input is read, so it holds for an empty file too
     results = []
@@ -122,22 +123,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     def report(semigroup: NumericalSemigroup) -> str:
         result = classify(semigroup)
-        record = {
+        return json.dumps({
             "gaps": list(semigroup.gaps),
             **result._asdict(),
             "profile": _profile_json(result.profile),
             "checks": dict(result.checks),
-        }
-        return json.dumps(record)
+        })
 
     _print_reports(args, report)
     return 0
-
-
-def _check_genus_cap(genus: int, cap: int) -> None:
-    """Refuse a walk deeper than ``cap``; a negative genus is left for ``EnumerationRequest``."""
-    if 0 <= genus and cap < genus:
-        raise LimitExceeded(f"max_genus {genus} exceeds the cap {cap}")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -146,15 +140,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise SemigroupError("--pure requires --kappa")
     if args.arf and (args.kappa is not None or args.pure):
         raise SemigroupError("--arf cannot be combined with --kappa/--pure")
-    _check_genus_cap(args.genus, args.cap)
+    _check_genus(args.genus, args.cap)
 
     mode = "arf" if args.arf else "all"
     if args.kappa is not None:
         mode = "pure_kappa_sparse" if args.pure else "kappa_sparse"
     request = EnumerationRequest(
-        max_genus=args.genus,
-        kappa_filter=args.kappa,
-        mode=mode,
+        args.genus, args.kappa, mode,
         # the TSV census prints no leap profiles, so it need not build them
         emit="count_only" if args.count_only or args.format == "tsv" else "full",
     )
@@ -195,7 +187,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_checks
-    _check_genus_cap(args.max_genus, DEFAULT_GENUS_CAP)
+    _check_genus(args.max_genus)
     results = run_checks(args.max_genus)
     failed = 0
     for result in results:
@@ -264,10 +256,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with ``main()``; a return first freezes what is alive, so finalization skips it.
+    """Exit with ``main()``'s status; a return skips the interpreter's teardown.
 
-    A reader that closes stdout early, as ``head`` does, ends the run quietly with status
-    141, which a shell reports for a writer killed by SIGPIPE (128 + 13).
+    After a return, what is alive is frozen, the ``atexit`` handlers run, both
+    standard streams are flushed and the process ends at once.  A flush that
+    fails leaves through ``sys.exit`` instead, so finalization meets the same
+    failure and reports it as before.  A reader that closes stdout early, as
+    ``head`` does, ends the run quietly with status 141, which a shell reports
+    for a writer killed by SIGPIPE (128 + 13).
     """
     try:
         code = main()
@@ -275,7 +271,14 @@ def run() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         code = 141
     gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in sys.stdout, sys.stderr:
+            if stream is not None:  # None when the process started with the descriptor closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -102,6 +102,12 @@ def _check_conductor(conductor: int) -> None:
         raise LimitExceeded(f"conductor {conductor} exceeds the cap {DEFAULT_MAX_CONDUCTOR}")
 
 
+def _check_genus(genus: int, cap: int = DEFAULT_GENUS_CAP) -> None:
+    """Refuse a walk deeper than ``cap``; a negative genus is left for ``EnumerationRequest``."""
+    if 0 <= genus and cap < genus:
+        raise LimitExceeded(f"max_genus {genus} exceeds the cap {cap}")
+
+
 _DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")  # so that ``compress`` keeps the "1" digits
 
 

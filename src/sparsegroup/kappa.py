@@ -6,7 +6,7 @@ from collections import namedtuple
 from operator import sub
 
 from .core import NumericalSemigroup, SemigroupError, _check_conductor, _require_kappa
-from .leaps import Leap, is_hyperelliptic, leap_profile, max_leap_jump
+from .leaps import Leap, is_hyperelliptic
 
 
 class InvalidParameters(SemigroupError):
@@ -15,31 +15,35 @@ class InvalidParameters(SemigroupError):
 
 # Each decider tests its kappa inline and calls ``_require_kappa``, the one
 # holder of the error text, only to raise: verify calls them per (node, kappa).
+# For the same reason they read the leap statistics as the ``_leap_profile``
+# and ``_max_leap_jump`` attributes that importing ``leaps`` installs, not
+# through ``leap_profile`` and ``max_leap_jump``.
 
 
 def is_kappa_sparse_profile(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via the profile: leaps with jump <= kappa account for the genus."""
     if type(kappa) is not int or kappa < 1:
         _require_kappa(kappa, 1)
-    return leap_profile(semigroup).count_up_to(kappa) == semigroup.genus
+    return semigroup._leap_profile.count_up_to(kappa) == semigroup.genus
 
 
 def is_kappa_sparse_gapdiff(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Class test via gap spacing: consecutive gaps differ by at most kappa."""
     if type(kappa) is not int or kappa < 1:
         _require_kappa(kappa, 1)
-    return max_leap_jump(semigroup) <= kappa
+    return semigroup._max_leap_jump <= kappa
 
 
 def is_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
     """Production decision procedure: the gap-spacing form, O(genus) once per object.
 
-    It repeats the gap-spacing test rather than forwarding to it, so that a
-    class query, asked per (node, kappa), is one frame deep.
+    It repeats the gap-spacing test rather than forwarding to it, and reads
+    the largest jump as the attribute ``leaps`` memoizes it under, so that a
+    warm class query, asked per (node, kappa), runs this one frame and no other.
     """
     if type(kappa) is not int or kappa < 1:
         _require_kappa(kappa, 1)
-    return max_leap_jump(semigroup) <= kappa
+    return semigroup._max_leap_jump <= kappa
 
 
 def is_kappa_sparse_nongap(semigroup: NumericalSemigroup, kappa: int) -> bool:
@@ -79,7 +83,7 @@ def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
         _require_kappa(kappa, 1)
     if kappa == 1:
         return semigroup.genus == 0
-    return max_leap_jump(semigroup) <= kappa and leap_profile(semigroup).v(kappa) != 0
+    return semigroup._max_leap_jump <= kappa and semigroup._leap_profile.v(kappa) != 0
 
 
 def sparseness_index(semigroup: NumericalSemigroup) -> int:
@@ -88,7 +92,7 @@ def sparseness_index(semigroup: NumericalSemigroup) -> int:
     Computed directly as the largest leap jump (1 for the full naturals)
     rather than by searching kappa upward.
     """
-    return max_leap_jump(semigroup) if semigroup.genus else 1
+    return semigroup._max_leap_jump if semigroup.genus else 1
 
 
 def example_family(a: int, kappa: int) -> NumericalSemigroup:
@@ -115,7 +119,7 @@ def frobenius_identity_check(semigroup: NumericalSemigroup, kappa: int) -> bool:
     if g == 0:
         raise ValueError("positive genus required")
     K = 2 * g - semigroup.frobenius
-    profile = leap_profile(semigroup)
+    profile = semigroup._leap_profile
     weighted = profile.weighted_total(kappa)
     return (
         weighted == 2 * g - K + 1
@@ -162,7 +166,7 @@ def classify(semigroup: NumericalSemigroup) -> Classification:
     """
     from .ideals import is_arf_double  # only classify runs an Arf test
 
-    profile = leap_profile(semigroup)
+    profile = semigroup._leap_profile
     index = profile.max_jump or 1  # the full naturals have no leap and index 1
     sparse = index <= 2
     arf = is_arf_double(semigroup)

@@ -95,40 +95,42 @@ def _scan_largest_jump(semigroup: NumericalSemigroup) -> int:
     return max(map(sub, gaps, (-1,) + gaps)) if gaps else 0
 
 
-# Each statistic is memoized in the instance ``__dict__``, as ``core._memo`` does
-# for ``small_elements``, and like it without a lock: a race on a first read
-# scans twice and stores equal values.  Each key is filled only by its own pass,
-# so the gap-spacing decider never reads the profile and the profile-sum decider
-# never reads the jump.  A hit is one lookup in a ``try``, since the deciders
-# read them once per (semigroup, kappa).
+# Each statistic is a ``core._memo`` on ``NumericalSemigroup``, installed here
+# beside the pass that computes it, under the name its value takes in the
+# instance ``__dict__``.  A warm read is an attribute read with no Python frame,
+# so the deciders, which ask once per (semigroup, kappa), read the attribute
+# itself.  Each memo looks its pass up when it first computes, so a test that
+# replaces one pass sees every read of it; each key is filled only by its own
+# pass, so the gap-spacing decider never reads the profile and the profile-sum
+# decider never reads the jump.
+
+
+def _install_memo(name: str, compute) -> None:
+    memo = _memo(compute)
+    memo.__set_name__(NumericalSemigroup, name)
+    setattr(NumericalSemigroup, name, memo)
+
+
+_install_memo("_leap_profile", lambda semigroup: _count_jumps(semigroup))
+_install_memo("_max_leap_jump", lambda semigroup: _scan_largest_jump(semigroup))
 
 
 def leap_profile(semigroup: NumericalSemigroup) -> LeapProfile:
     """Histogram of leap jumps, counted in one pass over the gaps once per object.
 
-    The profile is kept on the instance; later calls on the same object
-    return it without rescanning.
+    The profile is kept on the instance as ``_leap_profile``; later reads on
+    the same object return it without rescanning.
     """
-    memo = semigroup.__dict__
-    try:
-        return memo["_leap_profile"]
-    except KeyError:
-        profile = memo["_leap_profile"] = _count_jumps(semigroup)
-        return profile
+    return semigroup._leap_profile
 
 
 def max_leap_jump(semigroup: NumericalSemigroup) -> int:
     """Largest difference between consecutive gaps (0 when there are no gaps).
 
-    Scanned once per object and kept on the instance, apart from the leap
-    profile's memo: it is never read off the profile.
+    Scanned once per object and kept on the instance as ``_max_leap_jump``,
+    apart from the leap profile: it is never read off the profile.
     """
-    memo = semigroup.__dict__
-    try:
-        return memo["_max_leap_jump"]
-    except KeyError:
-        best = memo["_max_leap_jump"] = _scan_largest_jump(semigroup)
-        return best
+    return semigroup._max_leap_jump
 
 
 def frobenius_from_profile(profile: LeapProfile) -> int:
@@ -147,4 +149,4 @@ def is_hyperelliptic(semigroup: NumericalSemigroup) -> bool:
 
 def is_sparse(semigroup: NumericalSemigroup) -> bool:
     """Whether every leap jump is at most 2 (true for the full naturals)."""
-    return max_leap_jump(semigroup) <= 2
+    return semigroup._max_leap_jump <= 2

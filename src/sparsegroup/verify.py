@@ -270,10 +270,12 @@ def _intersection_stays_in_class(levels: Levels) -> Instances:
     class holds both semigroups of each pair that reaches it.  Each node's
     classes are a mask, bit kappa set for each kappa, so the classes a pair
     shares are one AND, and a pair that shares none is passed over at once.
+    A node in none of the classes is left out of the pool, so it costs no pair.
     """
     pool = [
-        (node, sum(1 << kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)))
+        (node, mask)
         for node in _nodes(levels[: PAIR_GENUS + 1])
+        if (mask := sum(1 << kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)))
     ]
     meets: dict[int, NumericalSemigroup] = {}
     for i, (a, a_mask) in enumerate(pool):

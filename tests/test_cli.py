@@ -608,3 +608,48 @@ class TestEntryPoint:
             "-m", "sparsegroup", "info", "--gaps", "1,2,4", stdout=None, preexec_fn=lambda: os.close(1)
         )
         assert (result.returncode, result.stderr) == (0, "")
+
+
+class TestBufferedExit:
+    """A normal return flushes block-buffered stdout before the process ends without teardown.
+
+    Each run writes to a file with ``PYTHONUNBUFFERED`` removed, so stdout is block-buffered
+    and its last block is still unwritten when ``main()`` returns.
+    """
+
+    @staticmethod
+    def spawn_to_file(tmp_path, *argv: str) -> tuple[int, bytes, str]:
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        path = tmp_path / "stdout"
+        with open(path, "wb") as stdout:
+            result = spawn(*argv, env=env, stdout=stdout)
+        return result.returncode, path.read_bytes(), result.stderr
+
+    @pytest.fixture
+    def gap_file(self, tmp_path, level):
+        """Every semigroup of genus 9, one per line: about 44 kB of classify output."""
+        path = tmp_path / "input.txt"
+        path.write_text("".join(format_gap_line(node) + "\n" for node in level(9)), encoding="utf-8")
+        return path
+
+    def test_classify_file_writes_what_main_prints(self, capsys, tmp_path, gap_file):
+        code, out, _ = run(capsys, "classify", "--file", str(gap_file))
+        assert code == 0 and len(out) > 4 * 8192 and out.count("\n") == 118
+        spawned = self.spawn_to_file(tmp_path, "-m", "sparsegroup", "classify", "--file", str(gap_file))
+        assert spawned == (0, out.encode(), "")
+
+    def test_atexit_handlers_run_after_the_output(self, capsys, tmp_path, gap_file):
+        _, out, _ = run(capsys, "classify", "--file", str(gap_file))
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            f"sys.argv = ['sparsegroup', 'classify', '--file', {str(gap_file)!r}]\n"
+            "runpy.run_module('sparsegroup', run_name='__main__')\n"
+        )
+        spawned = self.spawn_to_file(tmp_path, "-c", code)
+        assert spawned == (0, out.encode() + b"atexit handler ran\n", "")
+
+    def test_a_failing_check_still_exits_one(self, tmp_path):
+        spawned = self.spawn_to_file(tmp_path, "-m", "sparsegroup", "check", "--hyperelliptic", "--gaps", "1,2,4")
+        record = b'{"predicate": "hyperelliptic", "gaps": [1, 2, 4], "result": false}\n'
+        assert spawned == (1, record, "")

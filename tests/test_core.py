@@ -289,7 +289,8 @@ class TestDerivedData:
         assert record["frobenius"] == 4
 
 
-# Every value a semigroup memoizes on itself, each a ``core._memo``.
+# Every value a semigroup memoizes on itself, each a ``core._memo``; the last
+# two are installed by ``leaps``, which this module imports.
 MEMOIZED = (
     "genus",
     "conductor",
@@ -299,6 +300,8 @@ MEMOIZED = (
     "small_elements",
     "multiplicity",
     "minimal_generators",
+    "_leap_profile",
+    "_max_leap_jump",
 )
 
 

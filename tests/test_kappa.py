@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import sys
 from operator import indexOf, sub
 
 import pytest
@@ -19,12 +20,14 @@ from sparsegroup import (
     is_kappa_sparse_profile,
     is_kappa_sparse_run,
     is_pure_kappa_sparse,
+    is_sparse,
     leap_profile,
     leap_set,
     ordinary,
     sparseness_index,
     sparseness_report,
 )
+from sparsegroup import leaps
 
 
 from oracle import first_member_run
@@ -406,3 +409,49 @@ class TestClassification:
                 assert result.sparse == (result.sparseness_index <= 2)
                 if result.hyperelliptic:
                     assert result.sparse
+
+
+def _decider_answers(node: NumericalSemigroup) -> tuple:
+    """Every kappa decider at each kappa in [1, genus + 3] where it applies, then the whole-node ones."""
+    per_kappa = []
+    for kappa in range(1, node.genus + 4):
+        answers = [
+            is_kappa_sparse(node, kappa),
+            is_kappa_sparse_profile(node, kappa),
+            is_kappa_sparse_gapdiff(node, kappa),
+            is_pure_kappa_sparse(node, kappa),
+        ]
+        if kappa >= 2:
+            answers += [is_kappa_sparse_nongap(node, kappa), is_kappa_sparse_run(node, kappa)]
+            if node.genus:
+                answers.append(frobenius_identity_check(node, kappa))
+        per_kappa.append(tuple(answers))
+    return tuple(per_kappa), sparseness_index(node), is_sparse(node), classify(node)
+
+
+def test_queries_make_no_call_into_the_public_leap_statistics(level, monkeypatch):
+    """The deciders read a node's leap statistics as attributes, never through ``leaps``.
+
+    Once the nodes are warm, every ``sparsegroup`` name bound to ``leap_profile``
+    or ``max_leap_jump`` raises, so a decider that called either, under any
+    alias, fails.  Fresh copies of the nodes, whose statistics are counted
+    after the patch, give the same answers too.
+    """
+    nodes = [node for genus in range(9) for node in level(genus)]
+    nodes += [example_family(a, kappa) for kappa in (3, 4, 5) for a in (kappa, kappa + 2)]
+    expected = [_decider_answers(node) for node in nodes]
+    modules = [module for name, module in sys.modules.items() if name.partition(".")[0] == "sparsegroup"]
+    for public in (leaps.leap_profile, leaps.max_leap_jump):
+
+        def refuse(semigroup, name=public.__name__):
+            raise AssertionError(f"{name} was called")
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is public:
+                    monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="max_leap_jump was called"):
+        leaps.max_leap_jump(nodes[0])
+    assert [_decider_answers(node) for node in nodes] == expected
+    fresh = [NumericalSemigroup.from_gaps(node.gaps) for node in nodes]
+    assert [_decider_answers(node) for node in fresh] == expected

@@ -40,26 +40,22 @@ def _walk(
     every candidate child, in descending order of the removed generator.
     The loop is ``_tree``'s.
     """
-    return _tree(max_genus, keep, False)
+    return _tree(max_genus, keep)
 
 
 def _tree(
     max_genus: int,
     keep: Callable[[int], bool] | None,
-    count: bool,
-    counted: Callable[[int], bool] | None = None,
     arf: bool = False,
     bits: int | None = None,
 ) -> Iterator:
-    """The walk behind ``_walk``, or with ``count`` one that reads its last two levels off two levels up.
+    """The walk behind ``_walk``, or with ``bits`` one that tallies its last two levels from two levels up.
 
-    Without ``count`` it yields what ``_walk`` yields.  With ``count`` it stacks nothing below depth
-    ``max_genus - 2``, whose nodes read their children and grandchildren off their children's
-    generators.  It yields per such node how many grandchildren ``counted`` accepts (all if ``None``)
-    through the children ``keep`` accepts (``max_genus`` >= 2); or with ``bits``, once, a tally per
-    depth: each key's number of nodes that ``keep`` accepts.  The key is the node's leap counts in
-    ``bits``-wide fields, field j holding the leaps of jump j, or its index if ``bits`` is 0.  With
-    ``arf`` it walks the Arf subtree alone: ``_stays_arf`` tests each child and grandchild.
+    Without ``bits`` it yields what ``_walk`` yields.  With ``bits`` it stacks nothing below depth
+    ``max_genus - 2`` and yields once a tally per depth: each key's number of nodes that ``keep``
+    accepts.  The key is the node's leap counts in ``bits``-wide fields, field j holding the leaps
+    of jump j, or its index if ``bits`` is 0.  With ``arf`` it walks the Arf subtree alone:
+    ``_stays_arf`` tests each child and grandchild.
 
     A child that removes x from a node with Frobenius number F adds exactly one leap, (F, x), so its
     index is the larger of the node's and x - F, and its key is the node's plus that jump.  ``keep``
@@ -67,35 +63,34 @@ def _tree(
 
     A node carries F, its multiplicity m, index, member mask over [0, W], the reversed mask
     (bit W - n set iff n is a member), minimal generators above F, and key: its gaps if walking,
-    else its tally key (or index).  Its child without x > F has Frobenius number x, keeps the
-    generators above x and gains at most y = x + m: a new one is x + s, s a nonzero member, and
-    none exceeds x + m.  It gains y unless some a in (m, x) has a and y - a as members.  On (m, x)
-    the child and the node agree, so that is one AND of the node's mask with its reversed mask
-    shifted by W - y.  The child without m of an ordinary node is ordinary, with generators m + 1,
-    ..., 2m + 1.  So a child's generators are known before it is stacked, and each x' of them is a
-    grandchild, of index max(the child's index, x' - x).  A child at depth ``max_genus`` is
-    stacked without them, as nothing below it is read.
+    else its tally key.  Its child without x > F has Frobenius number x, keeps the generators
+    above x and gains at most y = x + m: a new one is x + s, s a nonzero member, and none exceeds
+    x + m.  It gains y unless some a in (m, x) has a and y - a as members.  On (m, x) the child and
+    the node agree, so that is one AND of the node's mask with its reversed mask shifted by W - y.
+    The child without m of an ordinary node is ordinary, with generators m + 1, ..., 2m + 1.  So a
+    child's generators are known before it is stacked, and each x' of them is a grandchild, of
+    index max(the child's index, x' - x).  A child at depth ``max_genus`` is stacked without them,
+    as nothing below it is read.
 
     The AND runs on the children of nodes at depth d <= ``max_genus - 2``.  Such a child's x is at
     most 2d + 1 and m is at most d + 1, so y <= 3d + 2 and W = 3 * ``max_genus`` suffices.
     """
     width = 3 * max_genus
     everything = (1 << width + 1) - 1
-    last = max_genus - 2 if count else -1
+    last = -1 if bits is None else max_genus - 2
     if keep is not None and not keep(1):
         return
     tallies = [{} for _ in range(max_genus + 1)]
-    stack = [(0, -1, 1, 1, everything, everything, (1,), 0 if bits else 1 if count else ())]
+    stack = [(0, -1, 1, 1, everything, everything, (1,), () if bits is None else 0 if bits else 1)]
     while stack:
         depth, frobenius, multiplicity, index, members, reversed_members, generators, key = stack.pop()
-        if not count:
+        if bits is None:
             yield depth, key, index
-        elif bits is not None:
+        else:
             tallies[depth][key] = tallies[depth].get(key, 0) + 1
         if depth == max_genus:
             continue
         leaves = depth + 1 == max_genus
-        total = 0
         for i in reversed(range(min(len(generators), 2) if arf else len(generators))):  # Arf: x <= F + 2
             x = generators[i]
             if arf and not _stays_arf(members, frobenius, x):
@@ -115,18 +110,10 @@ def _tree(
                     sums = (members & reversed_members >> width - y) >> multiplicity + 1
                     if not sums & (1 << x - multiplicity - 1) - 1:
                         child_generators += (y,)
-                if depth == last:
-                    if arf:
-                        child_members = members ^ 1 << x
-                        child_generators = [
-                            g for g in child_generators[:2] if _stays_arf(child_members, x, g)
-                        ]
-                    if bits is None:
-                        total += len(child_generators) if counted is None else sum(
-                            counted(child_index if child_index > g - x else g - x) for g in child_generators
-                        )
-                        continue
-            child_key = key + (x,) if not count else key + (1 << bits * jump) if bits else child_index
+                if depth == last and arf:
+                    child_members = members ^ 1 << x
+                    child_generators = [g for g in child_generators[:2] if _stays_arf(child_members, x, g)]
+            child_key = key + (x,) if bits is None else key + (1 << bits * jump) if bits else child_index
             if leaves:
                 stack.append((depth + 1, x, 0, child_index, 0, 0, None, child_key))
                 continue
@@ -146,8 +133,6 @@ def _tree(
                 depth + 1, x, child_multiplicity, child_index,
                 members ^ 1 << x, reversed_members ^ 1 << width - x, child_generators, child_key,
             ))
-        if depth == last and bits is None:
-            yield total
     if bits is not None:
         yield tallies
 
@@ -202,9 +187,9 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
 
 
 def _universe(
-    request: EnumerationRequest, count: bool = False, bits: int | None = None
+    request: EnumerationRequest, bits: int | None = None
 ) -> tuple[Iterator, Callable[[int], bool] | None]:
-    """The walk over the request's universe, or with ``count`` ``_tree``'s counts (tallies if ``bits``).
+    """The walk over the request's universe, or with ``bits`` ``_tree``'s tallies.
 
     Also returns ``counted``, the member test.  This is where the mode becomes the walk's
     pruning test ``keep`` on a node's index, ``counted`` and the Arf flag (``None`` passes
@@ -217,8 +202,8 @@ def _universe(
         keep = lambda index: index <= kappa
         counted = (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
     arf = request.mode == "arf"
-    if count or arf:
-        return _tree(request.max_genus, keep, count, counted, arf, bits), counted
+    if bits is not None or arf:
+        return _tree(request.max_genus, keep, arf, bits), counted
     return _walk(request.max_genus, keep), counted
 
 
@@ -242,13 +227,15 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
 def level_size(request: EnumerationRequest) -> int:
     """How many members ``members(request)`` yields, counted without building any.
 
-    The walk stops two levels early: ``_tree`` counts each depth-``max_genus - 2``
-    node's grandchildren from the generators of its children, which it never
-    stacks.  Genus 0 and 1, with no such level, count ``_level``.
+    ``counting._count`` walks the class alone: a child of index above kappa, or
+    one that is not Arf, is never reached.  Genus 0 and 1 count ``_level``.
     """
     if request.max_genus < 2:
         return sum(1 for _ in _level(request))
-    return sum(_universe(request, True)[0])
+    from .counting import _count
+    mode = request.mode
+    span = 2 if mode == "arf" else None if mode == "all" else request.kappa
+    return _count(request.max_genus, span, mode == "pure_kappa_sparse", mode == "arf")
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -291,9 +278,9 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     bits = request.max_genus.bit_length() + 1 if request.emit == "full" else 0
     if bits:  # only a census with profiles builds them, so no count loads leaps
         from .leaps import LeapProfile
-    (tallies,), counted = _universe(request, True, bits)
+    (tallies,), counted = _universe(request, bits)
     (arf_tallies,) = (  # in arf mode, with no member test, the column is each total
-        [tallies] if request.mode == "arf" else _tree(request.max_genus, None, True, arf=True, bits=0)
+        [tallies] if request.mode == "arf" else _tree(request.max_genus, None, arf=True, bits=0)
     )
     index_of = (lambda key: key.bit_length() // bits or 1) if bits else int  # an index key is the index
     rows = []

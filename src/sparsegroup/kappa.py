@@ -83,7 +83,8 @@ def is_pure_kappa_sparse(semigroup: NumericalSemigroup, kappa: int) -> bool:
         _require_kappa(kappa, 1)
     if kappa == 1:
         return semigroup.genus == 0
-    return semigroup._max_leap_jump <= kappa and semigroup._leap_profile.v(kappa) != 0
+    # a profile omits zero counts, so a jump it holds is a key of ``_by_jump``
+    return semigroup._max_leap_jump <= kappa and kappa in semigroup._leap_profile._by_jump
 
 
 def sparseness_index(semigroup: NumericalSemigroup) -> int:

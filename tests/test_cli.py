@@ -444,9 +444,9 @@ class TestEnumerate:
         """
         tree, keys = enumeration._tree, []
 
-        def recorded(max_genus, keep, count, counted=None, arf=False, bits=None):
-            assert not bits, "leap counts packed for a census without profiles"
-            for item in tree(max_genus, keep, count, counted, arf, bits):
+        def recorded(max_genus, keep, arf=False, bits=None):
+            assert bits == 0, "leap counts packed for a census without profiles"
+            for item in tree(max_genus, keep, arf, bits):
                 keys.extend(key for tally in item for key in tally)
                 yield item
 

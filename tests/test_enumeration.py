@@ -104,10 +104,10 @@ class TestWalk:
         walked = sum(1 for _ in _walk(20, lambda index: calls.append(index) or index <= 3))
         assert (len(calls), walked) == (32793, 12984)
 
-    @pytest.mark.parametrize("count", [False, True])
-    def test_a_keep_that_refuses_the_root_walks_nothing(self, count):
+    @pytest.mark.parametrize("bits", [None, 0, 4], ids=["stream", "index-tallies", "profile-tallies"])
+    def test_a_keep_that_refuses_the_root_walks_nothing(self, bits):
         calls = []
-        assert list(enumeration._tree(5, lambda index: calls.append(index) or False, count)) == []
+        assert list(enumeration._tree(5, lambda index: calls.append(index) or False, bits=bits)) == []
         assert calls == [1]
 
     def test_keep_sees_the_root_and_every_candidate_child(self):
@@ -409,16 +409,33 @@ class TestKappaLevelSizes:
         sizes = Counter(len(gaps) for gaps in kappa_sparse_walk(kappa, depth))
         assert tuple(sizes[g] for g in range(depth + 1)) == KAPPA_LEVEL_SIZES[kappa][: depth + 1]
 
-    @pytest.mark.parametrize("kappa, depth", [(2, 32), (3, 26), (4, 22), (5, 20)])
-    def test_level_size_matches_the_table(self, kappa, depth):
+    @pytest.mark.parametrize("kappa", sorted(KAPPA_LEVEL_SIZES))
+    def test_level_size_matches_the_table(self, kappa):
+        depth = len(KAPPA_LEVEL_SIZES[kappa]) - 1
         counted = [level_size(EnumerationRequest(g, kappa, "kappa_sparse")) for g in range(depth + 1)]
-        assert tuple(counted) == KAPPA_LEVEL_SIZES[kappa][: depth + 1]
+        assert tuple(counted) == KAPPA_LEVEL_SIZES[kappa]
 
-    @pytest.mark.parametrize("kappa, depth", [(2, 32), (3, 26), (4, 22), (5, 20)])
-    def test_pure_level_size_is_the_difference_of_consecutive_rows(self, kappa, depth):
+    @pytest.mark.parametrize("kappa", sorted(KAPPA_LEVEL_SIZES))
+    def test_pure_level_size_is_the_difference_of_consecutive_rows(self, kappa):
+        """Over the whole row of kappa, which the row of kappa - 1 outruns."""
+        depth = len(KAPPA_LEVEL_SIZES[kappa]) - 1
         below = KAPPA_LEVEL_SIZES.get(kappa - 1, (1,) + (0,) * depth)  # kappa 1: the root alone
         counted = [level_size(EnumerationRequest(g, kappa, "pure_kappa_sparse")) for g in range(depth + 1)]
         assert counted == [KAPPA_LEVEL_SIZES[kappa][g] - below[g] for g in range(depth + 1)]
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    def test_the_ordinary_grandchildren_stop_at_the_span(self, kappa):
+        """At depth G - 2 the ordinary node of multiplicity m = G - 1 >= kappa has an ordinary child,
+        without m, whose generators m + 1, ..., 2m + 1 run past m + kappa: only kappa of its
+        m + 1 = G children are kappa-sparse, and the count stops there.
+        """
+        for genus in range(kappa + 1, kappa + 5):
+            child = ordinary(genus - 1)
+            grandchildren = children(child)
+            assert len(grandchildren) == genus
+            assert sum(is_kappa_sparse(node, kappa) for node in grandchildren) == kappa
+            expected = sum(1 for gaps in kappa_sparse_walk(kappa, genus) if len(gaps) == genus)
+            assert level_size(EnumerationRequest(genus, kappa, "kappa_sparse")) == expected
 
 
 class TestEnumerateKappaSparse:
@@ -601,10 +618,18 @@ class TestCensus:
         assert rows == oracle_census(request)
 
     @pytest.mark.parametrize(
-        "max_genus, kappa, mode", [(20, None, "all"), (30, 2, "kappa_sparse"), (30, None, "arf")]
+        "max_genus, kappa, mode",
+        [
+            (20, None, "all"),
+            (30, 2, "kappa_sparse"),
+            (30, None, "arf"),
+            (24, 3, "pure_kappa_sparse"),
+            (12, 1, "kappa_sparse"),
+            (12, 1, "pure_kappa_sparse"),
+        ],
     )
     def test_count_only_totals_are_the_level_sizes(self, max_genus, kappa, mode):
-        """The census tallies and ``level_size`` count the same levels by two paths through the walk."""
+        """The census tallies of ``_tree`` and ``level_size``'s own count agree on every level."""
         rows = census(EnumerationRequest(max_genus, kappa, mode, "count_only"))
         assert [row.total for row in rows] == [
             level_size(EnumerationRequest(genus, kappa, mode)) for genus in range(max_genus + 1)

@@ -199,6 +199,22 @@ class TestPure:
                 for kappa in range(1, g + 3):
                     assert is_pure_kappa_sparse(node, kappa) == (kappa == index)
 
+    def test_a_warm_query_never_calls_the_profile_count(self, level, monkeypatch):
+        """A profile omits zero counts, so a jump it holds is a key of ``_by_jump``: no ``v`` frame runs.
+
+        The answers are those of ``v(kappa) != 0`` on the warm profile, read before the patch.
+        """
+        pairs = [(node, kappa) for genus in range(9) for node in level(genus) for kappa in range(2, genus + 4)]
+        expected = [sparseness_index(node) <= kappa and leap_profile(node).v(kappa) != 0 for node, kappa in pairs]
+
+        def refuse(profile, jump):
+            raise AssertionError("LeapProfile.v was called")
+
+        monkeypatch.setattr(leaps.LeapProfile, "v", refuse)
+        with pytest.raises(AssertionError, match="v was called"):
+            leap_profile(pairs[0][0]).v(2)
+        assert [is_pure_kappa_sparse(node, kappa) for node, kappa in pairs] == expected
+
 
 def test_class_and_purity_queries_match_their_definitions_to_genus_ten(level):
     """Both queries against the gap tuple: every consecutive-gap difference, from the sentinel -1.

@@ -328,11 +328,14 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         (("-c", "import sparsegroup"), set()),
         (("-c", "import sparsegroup.cli"), {"cli", "core"}),
         (("-m", "sparsegroup", "info", "--gaps", ""), {"cli", "core"}),
-        (("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"), {"cli", "core", "enumeration"}),
+        (
+            ("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"),
+            {"cli", "core", "enumeration", "counting"},
+        ),
         (("-m", "sparsegroup", "enumerate", "--genus", "5", "--arf"), {"cli", "core", "enumeration"}),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--arf", "--count-only"),
-            {"cli", "core", "enumeration"},
+            {"cli", "core", "enumeration", "counting"},
         ),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census"),

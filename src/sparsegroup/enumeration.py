@@ -47,47 +47,24 @@ def _tree(
     max_genus: int,
     keep: Callable[[int], bool] | None,
     arf: bool = False,
-    bits: int | None = None,
-) -> Iterator:
-    """The walk behind ``_walk``, or with ``bits`` one that tallies its last two levels from two levels up.
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The stream behind ``_walk``, or with ``arf`` over the Arf subtree: ``_stays_arf`` tests each child.
 
-    Without ``bits`` it yields what ``_walk`` yields.  With ``bits`` it stacks nothing below depth
-    ``max_genus - 2`` and yields once a tally per depth: each key's number of nodes that ``keep``
-    accepts.  The key is the node's leap counts in ``bits``-wide fields, field j holding the leaps
-    of jump j, or its index if ``bits`` is 0.  With ``arf`` it walks the Arf subtree alone:
-    ``_stays_arf`` tests each child and grandchild.
-
+    It yields every node and tallies nothing: level sizes and census rows come from ``counting._count``.
     A child that removes x from a node with Frobenius number F adds exactly one leap, (F, x), so its
-    index is the larger of the node's and x - F, and its key is the node's plus that jump.  ``keep``
-    tests the index alone, so a grandchild of its child's index is not tested again.
-
-    A node carries F, its multiplicity m, index, member mask over [0, W], the reversed mask
-    (bit W - n set iff n is a member), minimal generators above F, and key: its gaps if walking,
-    else its tally key.  Its child without x > F has Frobenius number x, keeps the generators
-    above x and gains at most y = x + m: a new one is x + s, s a nonzero member, and none exceeds
-    x + m.  It gains y unless some a in (m, x) has a and y - a as members.  On (m, x) the child and
-    the node agree, so that is one AND of the node's mask with its reversed mask shifted by W - y.
-    The child without m of an ordinary node is ordinary, with generators m + 1, ..., 2m + 1.  So a
-    child's generators are known before it is stacked, and each x' of them is a grandchild, of
-    index max(the child's index, x' - x).  A child at depth ``max_genus`` is stacked without them,
-    as nothing below it is read.
-
-    The AND runs on the children of nodes at depth d <= ``max_genus - 2``.  Such a child's x is at
-    most 2d + 1 and m is at most d + 1, so y <= 3d + 2 and W = 3 * ``max_genus`` suffices.
+    index is the larger of the node's and x - F.  A node carries F, its multiplicity m, index, the
+    member masks, minimal generators above F and gaps; its children's generators are found as in
+    ``counting._count``, which explains the masks, before a child is stacked.  A child at depth
+    ``max_genus`` is stacked without them, as nothing below it is read.
     """
     width = 3 * max_genus
     everything = (1 << width + 1) - 1
-    last = -1 if bits is None else max_genus - 2
     if keep is not None and not keep(1):
         return
-    tallies = [{} for _ in range(max_genus + 1)]
-    stack = [(0, -1, 1, 1, everything, everything, (1,), () if bits is None else 0 if bits else 1)]
+    stack = [(0, -1, 1, 1, everything, everything, (1,), ())]
     while stack:
-        depth, frobenius, multiplicity, index, members, reversed_members, generators, key = stack.pop()
-        if bits is None:
-            yield depth, key, index
-        else:
-            tallies[depth][key] = tallies[depth].get(key, 0) + 1
+        depth, frobenius, multiplicity, index, members, reversed_members, generators, gaps = stack.pop()
+        yield depth, gaps, index
         if depth == max_genus:
             continue
         leaves = depth + 1 == max_genus
@@ -99,42 +76,23 @@ def _tree(
             child_index = index if index > jump else jump
             if keep is not None and not keep(child_index):
                 continue
-            if not leaves:  # a child at depth max_genus is yielded or tallied and dropped
-                if x == multiplicity:
-                    child_multiplicity = x + 1
-                    child_generators = tuple(range(x + 1, 2 * x + 2))
-                else:
-                    child_multiplicity = multiplicity
-                    child_generators = generators[i + 1 :]
-                    y = x + multiplicity
-                    sums = (members & reversed_members >> width - y) >> multiplicity + 1
-                    if not sums & (1 << x - multiplicity - 1) - 1:
-                        child_generators += (y,)
-                if depth == last and arf:
-                    child_members = members ^ 1 << x
-                    child_generators = [g for g in child_generators[:2] if _stays_arf(child_members, x, g)]
-            child_key = key + (x,) if bits is None else key + (1 << bits * jump) if bits else child_index
-            if leaves:
-                stack.append((depth + 1, x, 0, child_index, 0, 0, None, child_key))
+            if leaves:  # yielded and dropped
+                stack.append((depth + 1, x, 0, child_index, 0, 0, None, gaps + (x,)))
                 continue
-            if depth == last:
-                tallies[depth + 1][child_key] = tallies[depth + 1].get(child_key, 0) + 1
-                tally = tallies[depth + 2]
-                for g in child_generators:
-                    jump = g - x
-                    if jump > child_index and keep is not None and not keep(jump):
-                        continue
-                    g_key = (  # a grandchild's leap counts, or its index
-                        child_key + (1 << bits * jump) if bits else jump if jump > child_key else child_key
-                    )
-                    tally[g_key] = tally.get(g_key, 0) + 1
-                continue
+            if x == multiplicity:
+                child_multiplicity = x + 1
+                child_generators = tuple(range(x + 1, 2 * x + 2))
+            else:
+                child_multiplicity = multiplicity
+                child_generators = generators[i + 1 :]
+                y = x + multiplicity
+                sums = (members & reversed_members >> width - y) >> multiplicity + 1
+                if not sums & (1 << x - multiplicity - 1) - 1:
+                    child_generators += (y,)
             stack.append((
                 depth + 1, x, child_multiplicity, child_index,
-                members ^ 1 << x, reversed_members ^ 1 << width - x, child_generators, child_key,
+                members ^ 1 << x, reversed_members ^ 1 << width - x, child_generators, gaps + (x,),
             ))
-    if bits is not None:
-        yield tallies
 
 
 def _stays_arf(members: int, frobenius: int, x: int) -> bool:
@@ -142,11 +100,12 @@ def _stays_arf(members: int, frobenius: int, x: int) -> bool:
 
     Arf asks 2b - a in S for members a <= b, so only 2b - a = x with a < b < x can fail: a = x - 2
     and b = x - 1 if x >= F + 3, else a = 2k + p and b = k + j + p, x = 2j + p and 0 <= k < j.
+    So only the members below x are rendered, after a sentinel digit for x: every second digit from
+    x - 2 down to p, read in binary, has bit k set iff a is a member, and S >> j + p has it iff b is.
     """
     if x > frobenius + 2:
         return False
-    digits, j, p = bin(members)[:1:-1], x >> 1, x & 1  # digit n is "1" iff n is a member
-    return not int("0" + digits[p:x:2], 2) & int("0" + digits[j + p : x], 2)
+    return not int("0" + bin(members & (1 << x) - 1 | 1 << x)[4::2], 2) & members >> (x + 1 >> 1)
 
 
 class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filter mode emit")):
@@ -186,25 +145,28 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
         return self.kappa_filter if self.kappa_filter is not None else 2
 
 
-def _universe(
-    request: EnumerationRequest, bits: int | None = None
-) -> tuple[Iterator, Callable[[int], bool] | None]:
-    """The walk over the request's universe, or with ``bits`` ``_tree``'s tallies.
+def _class(mode: str, kappa: int | None = None) -> tuple[int | None, bool, Callable[[int], bool] | None]:
+    """The mode as the walks take it: ``span``, the Arf flag and ``counted``.
 
-    Also returns ``counted``, the member test.  This is where the mode becomes the walk's
-    pruning test ``keep`` on a node's index, ``counted`` and the Arf flag (``None`` passes
-    everything).  Filling the largest gap keeps a semigroup kappa-sparse, so the kappa modes
-    prune at the first non-member, and the pure mode counts index == kappa.
+    ``span`` is the largest leap jump a child may add and stay in the class (``None``: any), and
+    ``counted`` the member test on a walked node's index (``None``: every node); filling the
+    largest gap keeps a semigroup kappa-sparse, so a kappa mode prunes at the first non-member.
     """
-    keep = counted = None
-    if request.mode in ("kappa_sparse", "pure_kappa_sparse"):
-        kappa = request.kappa
-        keep = lambda index: index <= kappa
-        counted = (lambda index: index == kappa) if request.mode == "pure_kappa_sparse" else keep
-    arf = request.mode == "arf"
-    if bits is not None or arf:
-        return _tree(request.max_genus, keep, arf, bits), counted
-    return _walk(request.max_genus, keep), counted
+    if mode == "arf":
+        return 2, True, None
+    if mode == "all":
+        return None, False, None
+    if mode == "pure_kappa_sparse":
+        return kappa, False, lambda index: index == kappa
+    return kappa, False, lambda index: index <= kappa
+
+
+def _universe(request: EnumerationRequest) -> tuple[Iterator, Callable[[int], bool] | None]:
+    """The stream over the request's universe, pruned by index <= kappa in a kappa mode, and ``counted``."""
+    span, arf, counted = _class(request.mode, request.kappa)
+    if arf:
+        return _tree(request.max_genus, None, arf), counted
+    return _walk(request.max_genus, None if span is None else lambda index: index <= span), counted
 
 
 def _level(request: EnumerationRequest) -> Iterator[tuple[int, ...]]:
@@ -233,9 +195,8 @@ def level_size(request: EnumerationRequest) -> int:
     if request.max_genus < 2:
         return sum(1 for _ in _level(request))
     from .counting import _count
-    mode = request.mode
-    span = 2 if mode == "arf" else None if mode == "all" else request.kappa
-    return _count(request.max_genus, span, mode == "pure_kappa_sparse", mode == "arf")
+    span, arf, _ = _class(request.mode, request.kappa)
+    return _count(request.max_genus, span, arf, request.mode == "pure_kappa_sparse")
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -264,24 +225,26 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     class, its pure part, or the Arf members); class columns are evaluated
     inside that universe.  Output is deterministic across runs.
 
-    The rows come from ``_tree``'s tallies, one per genus, read off for the
-    last two levels from the nodes two levels up.  A node's key is its index,
-    or if profiles are emitted its leap counts, packed into one int with a
-    field per jump one bit wider than a count of ``max_genus`` needs; so the
-    highest nonzero field, the index, is the key's bit length floor-divided by
-    the field width (1 at the root).  Every column depends on the key alone, so the
-    member test from ``_universe``, the class tests and the unpacking run once
-    per distinct key, as each row is built.  The ``arf`` column counts the
+    The rows come from the tallies of ``counting._count``, one per genus: it
+    walks the mode's class alone and reads the last two levels off the nodes
+    two levels up.  A node's key is its index, or if profiles are emitted its
+    leap counts, packed into one int with a field per jump one bit wider than
+    a count of ``max_genus`` needs; so the highest nonzero field, the index, is
+    the key's bit length floor-divided by the field width (1 at the root).
+    Every column depends on the key alone, so the member test from ``_class``,
+    the class tests and the unpacking run once per distinct key, as each row
+    is built.  The ``arf`` column counts the
     members in the tallies of the Arf subtree, walked once; in ``arf`` mode,
     where that subtree is the universe, it is the row's total.
     """
+    from .counting import _count
     bits = request.max_genus.bit_length() + 1 if request.emit == "full" else 0
     if bits:  # only a census with profiles builds them, so no count loads leaps
         from .leaps import LeapProfile
-    (tallies,), counted = _universe(request, bits)
-    (arf_tallies,) = (  # in arf mode, with no member test, the column is each total
-        [tallies] if request.mode == "arf" else _tree(request.max_genus, None, arf=True, bits=0)
-    )
+    span, arf, counted = _class(request.mode, request.kappa)
+    tallies = _count(request.max_genus, span, arf, bits=bits)
+    # in arf mode, with no member test, the column is each total
+    arf_tallies = tallies if arf else _count(request.max_genus, *_class("arf")[:2], bits=0)
     index_of = (lambda key: key.bit_length() // bits or 1) if bits else int  # an index key is the index
     rows = []
     for genus, tally in enumerate(tallies):

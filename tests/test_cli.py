@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sparsegroup import (
+    counting,
     enumeration,
     example_family,
     format_gap_line,
@@ -442,15 +443,15 @@ class TestEnumerate:
 
         A key of packed leap counts has a field per jump; an index key is at most genus + 1.
         """
-        tree, keys = enumeration._tree, []
+        walk, keys = counting._count, []
 
-        def recorded(max_genus, keep, arf=False, bits=None):
+        def recorded(max_genus, span, arf, pure=False, bits=None):
             assert bits == 0, "leap counts packed for a census without profiles"
-            for item in tree(max_genus, keep, arf, bits):
-                keys.extend(key for tally in item for key in tally)
-                yield item
+            tallies = walk(max_genus, span, arf, pure, bits)
+            keys.extend(key for tally in tallies for key in tally)
+            return tallies
 
-        monkeypatch.setattr(enumeration, "_tree", recorded)
+        monkeypatch.setattr(counting, "_count", recorded)
         code, out, _ = run(capsys, "enumerate", "--genus", "6", "--census", *flags)
         assert code == 0
         if "tsv" in flags:

@@ -28,7 +28,7 @@ from sparsegroup import (
     ordinary,
     sparseness_index,
 )
-from sparsegroup import enumeration
+from sparsegroup import counting, enumeration
 from sparsegroup.enumeration import EMITS, MODES, _stays_arf, _walk, members
 
 from oracle import (
@@ -99,15 +99,15 @@ class TestWalk:
             assert walked == expected
 
     def test_keep_calls_on_the_kappa_3_walk_to_genus_20(self):
-        """The census_pruned benchmark walk: keep runs 32793 times and 12984 nodes remain."""
+        """The stream of ``enumerate --kappa 3`` to genus 20: keep runs 32793 times and 12984 nodes remain."""
         calls = []
         walked = sum(1 for _ in _walk(20, lambda index: calls.append(index) or index <= 3))
         assert (len(calls), walked) == (32793, 12984)
 
-    @pytest.mark.parametrize("bits", [None, 0, 4], ids=["stream", "index-tallies", "profile-tallies"])
-    def test_a_keep_that_refuses_the_root_walks_nothing(self, bits):
+    @pytest.mark.parametrize("arf", [False, True], ids=["stream", "arf-stream"])
+    def test_a_keep_that_refuses_the_root_walks_nothing(self, arf):
         calls = []
-        assert list(enumeration._tree(5, lambda index: calls.append(index) or False, bits=bits)) == []
+        assert list(enumeration._tree(5, lambda index: calls.append(index) or False, arf)) == []
         assert calls == [1]
 
     def test_keep_sees_the_root_and_every_candidate_child(self):
@@ -187,17 +187,17 @@ class TestArfWalk:
         """Off the walk: each child of each Arf node, from the reference ``children``.
 
         No child that removes an x >= F + 3 is Arf, and the child test agrees with the triple
-        condition.
+        condition, on a member mask as wide as the walk's and on a wider one.
         """
         arf_nodes, far = [NumericalSemigroup(())], 0
         for node in arf_nodes:  # extended as it is read, with the Arf children to genus 14
-            mask = member_mask(node, 3 * 14)
+            masks = [member_mask(node, width) for width in (3 * 14, 5 * 14)]  # the walk's width, and wider
             for child in children(node):
                 x, arf = child.frobenius, is_arf_definition(child)
                 if x >= node.frobenius + 3:
                     assert not arf, child.gaps
                     far += 1
-                assert _stays_arf(mask, node.frobenius, x) == arf, child.gaps
+                assert [_stays_arf(mask, node.frobenius, x) for mask in masks] == [arf, arf], child.gaps
                 if arf and child.genus <= 14:
                     arf_nodes.append(child)
         assert len(arf_nodes) == sum(ARF_LEVEL_SIZES[:15])
@@ -387,6 +387,39 @@ class TestLevelSize:
                 assert level_size(request) == streamed and (streamed > 0) == nonempty, genus
 
 
+@functools.cache
+def stream_leap_counts(gaps):
+    """A streamed node's leap counts, from ``leap_profile`` and not from the walk's jumps."""
+    return leap_profile(NumericalSemigroup(gaps)).counts
+
+
+class TestAggregateWalk:
+    @pytest.mark.parametrize(
+        "mode, kappa",
+        [("all", None), ("arf", None)]
+        + [(mode, kappa) for mode in ("kappa_sparse", "pure_kappa_sparse") for kappa in (1, 2, 3, 5, 6)],
+    )
+    def test_tallies_equal_the_stream_bucketed_by_depth_and_key(self, mode, kappa):
+        """``counting._count``'s tallies at genus 0..16, both key kinds, against ``_universe``'s stream.
+
+        The two walks share no code.  At kappa 5 and 6 the span also cuts a child's generators
+        at x + span below the largest of them.
+        """
+        walk, _ = enumeration._universe(EnumerationRequest(16, kappa, mode))
+        nodes = [(depth, index, stream_leap_counts(gaps)) for depth, gaps, index in walk]
+        span, arf, _ = enumeration._class(mode, kappa)
+        by_bits = {}  # the stream bucketed by depth and key, per key kind
+        for max_genus in range(17):
+            for bits in (0, max_genus.bit_length() + 1):
+                if bits not in by_bits:
+                    by_bits[bits] = [Counter() for _ in range(17)]
+                    for depth, index, counts in nodes:
+                        key = sum(c << bits * jump for jump, c in counts) if bits else index
+                        by_bits[bits][depth][key] += 1
+                expected = [dict(tally) for tally in by_bits[bits][: max_genus + 1]]
+                assert counting._count(max_genus, span, arf, bits=bits) == expected, (max_genus, bits)
+
+
 def jumps(gaps):
     """Each gap minus the one before it, or -1 for the first."""
     return [b - a for a, b in zip((-1,) + gaps, gaps)]
@@ -552,13 +585,13 @@ class TestCensus:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_walks_the_arf_subtree_once(self, monkeypatch, mode):
         """In ``arf`` mode the universe is the Arf subtree, and its rows give the ``arf`` column."""
-        tree, arf_walks = enumeration._tree, []
+        walk, arf_walks = counting._count, []
 
         def counted(*args, **kwargs):
-            arf_walks.append(inspect.signature(tree).bind(*args, **kwargs).arguments.get("arf", False))
-            return tree(*args, **kwargs)
+            arf_walks.append(inspect.signature(walk).bind(*args, **kwargs).arguments["arf"])
+            return walk(*args, **kwargs)
 
-        monkeypatch.setattr(enumeration, "_tree", counted)
+        monkeypatch.setattr(counting, "_count", counted)
         rows = census(EnumerationRequest(12, kappa_filter=3, mode=mode))
         assert arf_walks.count(True) == 1
         arf = sum(row.per_class["arf"] for row in rows)
@@ -629,7 +662,7 @@ class TestCensus:
         ],
     )
     def test_count_only_totals_are_the_level_sizes(self, max_genus, kappa, mode):
-        """The census tallies of ``_tree`` and ``level_size``'s own count agree on every level."""
+        """The census tallies and ``level_size``'s count, two ends of one walk, agree on every level."""
         rows = census(EnumerationRequest(max_genus, kappa, mode, "count_only"))
         assert [row.total for row in rows] == [
             level_size(EnumerationRequest(genus, kappa, mode)) for genus in range(max_genus + 1)

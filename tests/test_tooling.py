@@ -339,15 +339,15 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         ),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census"),
-            {"cli", "core", "enumeration", "leaps"},
+            {"cli", "core", "enumeration", "counting", "leaps"},
         ),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census", "--format", "tsv"),
-            {"cli", "core", "enumeration"},
+            {"cli", "core", "enumeration", "counting"},
         ),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--census", "--count-only"),
-            {"cli", "core", "enumeration"},
+            {"cli", "core", "enumeration", "counting"},
         ),
         (("-m", "sparsegroup", "leaps", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),
         (("-m", "sparsegroup", "check", "--sparse", "--gaps", "1,2,4"), {"cli", "core", "leaps"}),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import gc
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
@@ -258,19 +257,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     """Exit with ``main()``'s status; a return skips the interpreter's teardown.
 
-    After a return, what is alive is frozen, the ``atexit`` handlers run, both
-    standard streams are flushed and the process ends at once.  A flush that
-    fails leaves through ``sys.exit`` instead, so finalization meets the same
-    failure and reports it as before.  A reader that closes stdout early, as
-    ``head`` does, ends the run quietly with status 141, which a shell reports
-    for a writer killed by SIGPIPE (128 + 13).
+    After a return, the ``atexit`` handlers run, both standard streams are
+    flushed and the process ends at once, with no object finalized.  A flush
+    that fails leaves through ``sys.exit`` instead, so finalization meets the
+    same failure and reports it as before.  A reader that closes stdout early,
+    as ``head`` does, ends the run quietly with status 141, which a shell
+    reports for a writer killed by SIGPIPE (128 + 13).
     """
     try:
         code = main()
     except BrokenPipeError:  # fd 1 now discards, so the final flush of stdout cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         code = 141
-    gc.freeze()
     atexit._run_exitfuncs()
     try:
         for stream in sys.stdout, sys.stderr:

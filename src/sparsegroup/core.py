@@ -96,6 +96,14 @@ def _require_kappa(kappa: int, minimum: int) -> None:
         raise ValueError(f"kappa must be an integer >= {minimum}, got {kappa!r}")
 
 
+def _require_genus(genus: int, name: str) -> None:
+    """Refuse a genus that is not a non-negative ``int``, the type first: one text for every caller."""
+    if type(genus) is not int:
+        raise ValueError(f"{name} must be an integer, got {genus!r}")
+    if genus < 0:
+        raise ValueError(f"{name} must be non-negative, got {genus}")
+
+
 def _check_conductor(conductor: int) -> None:
     """Refuse a conductor above ``DEFAULT_MAX_CONDUCTOR``, before anything of its size is built."""
     if conductor > DEFAULT_MAX_CONDUCTOR:
@@ -103,7 +111,7 @@ def _check_conductor(conductor: int) -> None:
 
 
 def _check_genus(genus: int, cap: int = DEFAULT_GENUS_CAP) -> None:
-    """Refuse a walk deeper than ``cap``; a negative genus is left for ``EnumerationRequest``."""
+    """Refuse a walk deeper than ``cap``; a negative genus is left for ``_require_genus``."""
     if 0 <= genus and cap < genus:
         raise LimitExceeded(f"max_genus {genus} exceeds the cap {cap}")
 
@@ -423,10 +431,7 @@ class NumericalSemigroup(_Value):
 
 def ordinary(genus: int) -> NumericalSemigroup:
     """The semigroup {0} together with every integer above ``genus``."""
-    if type(genus) is not int:
-        raise ValueError(f"genus must be an integer, got {genus!r}")
-    if genus < 0:
-        raise ValueError(f"genus must be non-negative, got {genus}")
+    _require_genus(genus, "genus")
     _check_conductor(genus + 1)
     return NumericalSemigroup._unchecked(tuple(range(1, genus + 1)))
 

@@ -10,7 +10,7 @@ from .enumeration import _stays_arf
 def _count(
     max_genus: int, span: int | None, arf: bool, pure: bool = False, bits: int | None = None
 ) -> int | list[dict[int, int]]:
-    """How many members of genus ``max_genus`` >= 2 the class has, or with ``bits`` its tallies.
+    """How many members of genus ``max_genus`` the class has, or with ``bits`` its tallies.
 
     A child that removes x from a node with Frobenius number F adds one leap, (F, x), of jump
     x - F.  So with ``span`` kappa only the children with x <= F + kappa are kappa-sparse, and only
@@ -21,7 +21,8 @@ def _count(
     With ``bits`` it returns a tally per depth 0..``max_genus``: each key's number of walked nodes.
     The key is the node's leap counts in ``bits``-wide fields, field j holding the leaps of jump j,
     or its index if ``bits`` is 0, so a child's key is its parent's plus the jump x - F.  A count
-    keys a node by its index too, and tallies nothing.  Tallies below genus 2 are a walk to 2's.
+    keys a node by its index too, and tallies nothing.  Below genus 2 both are read off a walk to
+    genus 2: a count sums its index-keyed tally at ``max_genus`` over the members' keys.
 
     A node carries F, its multiplicity m, key, member mask over [0, W], the reversed mask (bit
     W - n set iff n is a member) and minimal generators above F.  Its child without x > F has
@@ -39,8 +40,11 @@ def _count(
     above it, n(n - 1)/2 over all i, and gains y = x + m when the AND finds y new; the ordinary
     child without m has x + 1 instead of n - 1.
     """
-    if max_genus < 2 and bits is not None:
-        return _count(2, span, arf, pure, bits)[: max_genus + 1]
+    if max_genus < 2:
+        tallies = _count(2, span, arf, bits=bits or 0)[: max_genus + 1]
+        if bits is not None:
+            return tallies
+        return sum(n for key, n in tallies[max_genus].items() if not pure or key == span)
     width = 3 * max_genus
     everything = (1 << width + 1) - 1
     last = max_genus - 2

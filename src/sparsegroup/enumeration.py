@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
-from .core import NumericalSemigroup, _require_kappa
+from .core import NumericalSemigroup, _require_genus, _require_kappa
 
 MODES = ("all", "kappa_sparse", "pure_kappa_sparse", "arf")
 EMITS = ("full", "count_only")
@@ -124,10 +124,7 @@ class EnumerationRequest(namedtuple("EnumerationRequest", "max_genus kappa_filte
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if emit not in EMITS:
             raise ValueError(f"emit must be one of {EMITS}, got {emit!r}")
-        if type(max_genus) is not int:
-            raise ValueError(f"max_genus must be an integer, got {max_genus!r}")
-        if max_genus < 0:
-            raise ValueError(f"max_genus must be non-negative, got {max_genus}")
+        _require_genus(max_genus, "max_genus")
         if kappa_filter is not None:
             _require_kappa(kappa_filter, 1)
         if mode in ("kappa_sparse", "pure_kappa_sparse") and kappa_filter is None:
@@ -169,31 +166,24 @@ def _universe(request: EnumerationRequest) -> tuple[Iterator, Callable[[int], bo
     return _walk(request.max_genus, None if span is None else lambda index: index <= span), counted
 
 
-def _level(request: EnumerationRequest) -> Iterator[tuple[int, ...]]:
-    """The gaps of the request's members of genus ``max_genus``, in walk order."""
-    walk, counted = _universe(request)
-    for depth, gaps, index in walk:
-        if depth == request.max_genus and (counted is None or counted(index)):
-            yield gaps
-
-
 def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
     """The request's class members of genus ``max_genus``, in depth-first tree order.
 
-    The class test runs only at that genus, never on the nodes above it, and
-    only the members handed out are built as objects.
+    ``_universe``'s stream yields them: the class test runs only at that genus,
+    and only the members handed out are built as objects.
     """
-    yield from map(NumericalSemigroup._unchecked, _level(request))
+    walk, counted = _universe(request)
+    for depth, gaps, index in walk:
+        if depth == request.max_genus and (counted is None or counted(index)):
+            yield NumericalSemigroup._unchecked(gaps)
 
 
 def level_size(request: EnumerationRequest) -> int:
     """How many members ``members(request)`` yields, counted without building any.
 
     ``counting._count`` walks the class alone: a child of index above kappa, or
-    one that is not Arf, is never reached.  Genus 0 and 1 count ``_level``.
+    one that is not Arf, is never reached.
     """
-    if request.max_genus < 2:
-        return sum(1 for _ in _level(request))
     from .counting import _count
     span, arf, _ = _class(request.mode, request.kappa)
     return _count(request.max_genus, span, arf, request.mode == "pure_kappa_sparse")

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import wraps
 
-from .core import NumericalSemigroup, ordinary
+from .core import NumericalSemigroup, _require_genus, ordinary
 from .enumeration import EnumerationRequest, _universe, _walk, children
 from .ideals import is_arf_definition, is_arf_double, is_arf_stable
 from .kappa import (
@@ -352,7 +352,7 @@ def _two_block_family_structure(levels: Levels) -> Instances:
 
 def run_checks(max_genus: int) -> list[CheckResult]:
     """Run every invariant family over the census of genus at most ``max_genus``."""
-    EnumerationRequest(max_genus)  # rejects a negative genus; the command line caps it
+    _require_genus(max_genus, "max_genus")  # the command line caps it
     levels: Levels = [[] for _ in range(max_genus + 1)]
     for depth, gaps, _ in _walk(max_genus):
         levels[depth].append(NumericalSemigroup._unchecked(gaps))

@@ -402,11 +402,15 @@ class TestAggregateWalk:
     def test_tallies_equal_the_stream_bucketed_by_depth_and_key(self, mode, kappa):
         """``counting._count``'s tallies at genus 0..16, both key kinds, against ``_universe``'s stream.
 
-        The two walks share no code.  At kappa 5 and 6 the span also cuts a child's generators
-        at x + span below the largest of them.
+        ``level_size`` at each genus, which ``_count`` answers too, is how many members the stream
+        yields there.  The two walks share no code.  At kappa 5 and 6 the span also cuts a child's
+        generators at x + span below the largest of them.
         """
-        walk, _ = enumeration._universe(EnumerationRequest(16, kappa, mode))
+        walk, counted = enumeration._universe(EnumerationRequest(16, kappa, mode))
         nodes = [(depth, index, stream_leap_counts(gaps)) for depth, gaps, index in walk]
+        streamed = Counter(depth for depth, index, _ in nodes if counted is None or counted(index))
+        for genus in range(17):
+            assert level_size(EnumerationRequest(genus, kappa, mode)) == streamed[genus], genus
         span, arf, _ = enumeration._class(mode, kappa)
         by_bits = {}  # the stream bucketed by depth and key, per key kind
         for max_genus in range(17):

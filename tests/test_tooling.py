@@ -332,6 +332,10 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--count-only"),
             {"cli", "core", "enumeration", "counting"},
         ),
+        (
+            ("-m", "sparsegroup", "enumerate", "--genus", "1", "--count-only"),
+            {"cli", "core", "enumeration", "counting"},
+        ),
         (("-m", "sparsegroup", "enumerate", "--genus", "5", "--arf"), {"cli", "core", "enumeration"}),
         (
             ("-m", "sparsegroup", "enumerate", "--genus", "5", "--arf", "--count-only"),
@@ -369,6 +373,7 @@ ALL_MODULES = {"cli", "core", "enumeration", "ideals", "kappa", "leaps"}
         "import-cli",
         "info",
         "enumerate",
+        "enumerate-genus-1-count",
         "enumerate-arf",
         "enumerate-arf-count",
         "census",

@@ -255,27 +255,42 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with ``main()``'s status; a return skips the interpreter's teardown.
+    """Run ``main()`` and end the process with ``os._exit``, skipping the interpreter's teardown.
 
-    After a return, the ``atexit`` handlers run, both standard streams are
-    flushed and the process ends at once, with no object finalized.  A flush
-    that fails leaves through ``sys.exit`` instead, so finalization meets the
-    same failure and reports it as before.  A reader that closes stdout early,
-    as ``head`` does, ends the run quietly with status 141, which a shell
-    reports for a writer killed by SIGPIPE (128 + 13).
+    A return from ``main()`` and argparse's ``SystemExit`` (``--help``, a usage
+    error) keep their status.  A write that fails, while the run prints or in
+    the final flush, drops the rest of stdout: a reader that has gone, as
+    ``head`` does, ends the run quietly with status 141, which a shell
+    reports for a writer killed by SIGPIPE (128 + 13); any other failure, a
+    full disk say, ends it with status 120 and one ``error:`` line on
+    stderr.  The ``atexit`` handlers run once on every path, before that
+    line.  With descriptor 2 closed at start-up, error text goes nowhere
+    rather than to stdout.  Any other exception keeps its traceback.
     """
+    if sys.stderr is None:  # print() and argparse would fall back to stdout
+        sys.stderr = open(os.devnull, "w")
+    failure = None
     try:
         code = main()
-    except BrokenPipeError:  # fd 1 now discards, so the final flush of stdout cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        code = 141
+    except SystemExit as exc:
+        code = exc.code
+    except OSError as exc:  # stdout is dropped, with what it buffers and whatever is printed later
+        failure, sys.stdout = exc, None
     atexit._run_exitfuncs()
     try:
-        for stream in sys.stdout, sys.stderr:
-            if stream is not None:  # None when the process started with the descriptor closed
-                stream.flush()
-    except OSError:
-        sys.exit(code)
+        if sys.stdout is not None:  # None after a failure, or when descriptor 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:
+        failure = exc
+    try:
+        if isinstance(failure, BrokenPipeError):
+            code = 141
+        elif failure is not None:
+            code = 120
+            print(f"error: {failure}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:  # stderr cannot take the text either; the status still tells
+        pass
     os._exit(code)
 
 

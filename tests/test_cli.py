@@ -19,7 +19,7 @@ from sparsegroup import (
     is_kappa_sparse,
     is_pure_kappa_sparse,
 )
-from sparsegroup.cli import main
+from sparsegroup.cli import _build_parser, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -508,13 +508,19 @@ class TestVerify:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def environment(unbuffered: bool) -> dict[str, str]:
+    """This process's environment with ``PYTHONUNBUFFERED`` set to 1 or removed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 def spawn(*argv: str, env: dict[str, str] | None = None, **options) -> subprocess.CompletedProcess[str]:
     """``python <argv>`` in a fresh process with the package on its path, output captured."""
     env = {**(os.environ if env is None else env), "PYTHONPATH": str(ROOT / "src")}
     options.setdefault("stdout", subprocess.PIPE)
+    options.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
-        [sys.executable, *argv], env=env, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, check=False, **options,
+        [sys.executable, *argv], env=env, stdin=subprocess.DEVNULL, text=True, check=False, **options
     )
 
 
@@ -524,19 +530,22 @@ class TestEntryPoint:
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout)["genus"] == 3
 
-    def test_a_normal_return_skips_interpreter_teardown(self):
-        """No object is finalized after a normal return, so a module-level ``__del__`` never prints."""
+    @pytest.mark.parametrize("argv", [["enumerate", "--genus", "3", "--count-only"], ["--help"]])
+    def test_a_normal_return_skips_interpreter_teardown(self, monkeypatch, argv):
+        """No object is finalized after a return or argparse's exit, so a module-level ``__del__`` never prints."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width of the help text, here and in the spawn
         code = (
             "import runpy, sys\n"
             "class Finalized:\n"
             "    def __del__(self):\n"
             "        print('finalized')\n"
             "alive = Finalized()\n"
-            "sys.argv = ['sparsegroup', 'enumerate', '--genus', '3', '--count-only']\n"
+            f"sys.argv = ['sparsegroup', *{argv!r}]\n"
             "runpy.run_module('sparsegroup', run_name='__main__')\n"
         )
         result = spawn("-c", code)
-        assert (result.returncode, result.stdout, result.stderr) == (0, "4\n", "")
+        out = _build_parser().format_help() if argv == ["--help"] else "4\n"
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
 
     def test_the_console_script_calls_what_the_module_calls(self):
         """``[project.scripts]`` names the function that ``__main__.py`` imports and calls."""
@@ -568,18 +577,51 @@ class TestEntryPoint:
         assert result.returncode == code
         assert re.fullmatch(stderr, result.stderr)
 
+    # 89 bytes, which a block-buffered stdout holds until the final flush, and 16.5 kB, which
+    # overflow its 8 KiB buffer while main() prints; unbuffered, the first write fails in both
+    OUTPUTS = pytest.mark.parametrize("argv", [
+        pytest.param(["info", "--gaps", "1,2,4"], id="info"),
+        pytest.param(["enumerate", "--genus", "12", "--format", "tsv"], id="enumerate"),
+    ])
+    NO_SPACE = "error: [Errno 28] No space left on device\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    def test_a_full_stdout_fails_the_final_flush(self):
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    @pytest.mark.parametrize("stderr_full", [False, True], ids=["stderr", "stderr_full"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @OUTPUTS
+    def test_a_full_stdout_ends_the_run_with_one_error_line(self, argv, unbuffered, stderr_full):
+        """With stderr full too, the line cannot be written, and no traceback takes the status to 1."""
         with open("/dev/full", "w") as full:
-            result = spawn("-m", "sparsegroup", "info", "--gaps", "1,2,4", env=env, stdout=full)
-        # Python 3.13 names the failed flush rather than the stream object
-        if sys.version_info < (3, 13):
-            first = r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' [^\n]*>\n"
-        else:
-            first = r"Exception ignored on flushing sys\.stdout:\n"
-        assert result.returncode == 120
-        assert re.fullmatch(first + r"OSError: \[Errno 28\] No space left on device\n", result.stderr)
+            stderr = full if stderr_full else subprocess.PIPE
+            result = spawn("-m", "sparsegroup", *argv, env=environment(unbuffered), stdout=full, stderr=stderr)
+        assert (result.returncode, result.stderr) == (120, None if stderr_full else self.NO_SPACE)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @OUTPUTS
+    def test_a_pipe_with_no_reader_ends_the_run_quietly(self, argv, unbuffered):
+        """The read end is closed before the spawn, so the first write to the pipe fails."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = spawn("-m", "sparsegroup", *argv, env=environment(unbuffered), stdout=write)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_atexit_handlers_run_before_the_error_line(self, unbuffered):
+        """Once a write has failed, what a handler prints to stdout goes nowhere and raises nothing."""
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
+            "atexit.register(print, 'dropped')\n"
+            "sys.argv = ['sparsegroup', 'info', '--gaps', '1,2,4']\n"
+            "runpy.run_module('sparsegroup', run_name='__main__')\n"
+        )
+        with open("/dev/full", "w") as full:
+            result = spawn("-c", code, env=environment(unbuffered), stdout=full)
+        assert (result.returncode, result.stderr) == (120, "atexit handler ran\n" + self.NO_SPACE)
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_a_reader_that_closes_early_ends_the_run_quietly(self, unbuffered):
@@ -588,10 +630,7 @@ class TestEntryPoint:
         Genus 16 prints about 310 kB, several times a pipe's default capacity, so the
         writer meets the closed pipe while ``main()`` still runs.
         """
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = str(ROOT / "src")
+        env = {**environment(unbuffered), "PYTHONPATH": str(ROOT / "src")}
         argv = [sys.executable, "-m", "sparsegroup", "enumerate", "--genus", "16"]
         pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
         with subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, **pipes) as process:
@@ -608,6 +647,16 @@ class TestEntryPoint:
         )
         assert (result.returncode, result.stderr) == (0, "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["info", "--gaps", "1,3,4"], ["enumerate", "--genus", "19", "--count-only"], ["frobnicate"]],
+        ids=["refusal", "cap", "usage"],
+    )
+    def test_a_refusal_with_stderr_closed_leaves_stdout_empty(self, argv):
+        """``sys.stderr`` is None, and ``print`` and argparse would fall back to stdout."""
+        result = spawn("-m", "sparsegroup", *argv, preexec_fn=lambda: os.close(2))
+        assert (result.returncode, result.stdout) == (2, "")
+
 
 class TestBufferedExit:
     """A normal return flushes block-buffered stdout before the process ends without teardown.
@@ -618,10 +667,9 @@ class TestBufferedExit:
 
     @staticmethod
     def spawn_to_file(tmp_path, *argv: str) -> tuple[int, bytes, str]:
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         path = tmp_path / "stdout"
         with open(path, "wb") as stdout:
-            result = spawn(*argv, env=env, stdout=stdout)
+            result = spawn(*argv, env=environment(False), stdout=stdout)
         return result.returncode, path.read_bytes(), result.stderr
 
     @pytest.fixture

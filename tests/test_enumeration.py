@@ -5,6 +5,7 @@ import inspect
 import sys
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -329,6 +330,16 @@ class TestEnumerateGenus:
 
     def test_deterministic(self):
         assert list(enumerate_genus(6)) == list(enumerate_genus(6))
+
+    def test_frobenius_below_twice_the_multiplicity(self, level):
+        """F < 2m leaves gaps 1..m-1 and any subset of (m, 2m): C(m - 1, g - m + 1) at each m.
+
+        Summed over m, that is the Fibonacci number F(g + 1) (Zhao 2010; Bras-Amoros 2008),
+        a count for a slice of every level that owes nothing to the tree.
+        """
+        for g in range(17):
+            walked = sum(1 for node in level(g) if node.frobenius < 2 * node.multiplicity)
+            assert walked == sum(comb(m - 1, g - m + 1) for m in range(1, g + 2)), g
 
     def test_genus_cap_enforced(self):
         """The cap belongs to the command line: the library walks past 18."""

@@ -200,8 +200,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help text is one plain write, so a failed write raises.
+
+    argparse's own writer swallows ``OSError`` (CPython 3.11 to 3.13), which let
+    ``--help`` into a full stdout exit 0 with nothing written.  Subparsers are
+    built with the parent's class, so every command's ``--help`` comes here.
+    As in argparse, the text goes to stderr when descriptor 1 was closed at start-up.
+    """
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout or sys.stderr).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsegroup",
         description="Numerical semigroup toolkit: gap and leap statistics, "
         "class checks, classification, and exhaustive enumeration by genus.",

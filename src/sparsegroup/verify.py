@@ -6,15 +6,25 @@ closure of the kappa-sparse classes under the two variety operations, and the
 correctness of the enumeration tree itself.
 
 Every family is one generator that yields once per instance: ``None`` when
-the instance holds, else the counterexample text.  One driver, ``_family``,
-counts the instances and stops at the first counterexample, which ``verify``
-prints on failure.
+the instance holds, else the counterexample text.  ``_family`` turns it into
+one step of the check, which counts its instances and stops at the first
+counterexample.
+
+``run_checks`` walks the tree once and keeps only the gap tuples of each
+level.  It builds one level of ``NumericalSemigroup`` objects at a time,
+runs every family's step on it, and drops the level before it builds the
+next, so the memo entries the families leave on the nodes go with their
+level.  A family's instances add up over its steps in the order one pass
+would count them; a family that has failed is not run again, and the others
+go on.  A family that needs more than one level keeps a small state between
+steps, which ``run_checks`` holds, and does its work across levels in the
+step of its last level.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import wraps
 
 from .core import NumericalSemigroup, _require_genus, ordinary
@@ -33,15 +43,19 @@ from .kappa import (
 )
 from .leaps import frobenius_from_profile, is_hyperelliptic, is_sparse, leap_profile, leap_set
 
-Levels = list[list[NumericalSemigroup]]
+Level = list[NumericalSemigroup]
 Instances = Iterator[str | None]
+Offspring = dict[tuple[int, ...], tuple[tuple[int, ...], ...]]  # parent gaps -> children's gaps
+Pool = list[tuple[NumericalSemigroup, int]]  # node and its mask of classes
+Filtered = dict[tuple[int, int], list[tuple[int, ...]]]  # (genus, kappa) -> members' gaps
+Verdicts = dict[tuple[int, int], list[str | None]]  # (kappa, a) -> instances
 
 PAIR_GENUS = 8  # deepest level whose kappa-sparse members are intersected pairwise
 KAPPA_LIMIT = 6  # largest kappa the chain, adjunction, pruning and family checks try
 
 
 class CheckResult(namedtuple("CheckResult", "name instances counterexample", defaults=(None,))):
-    """Outcome of one invariant family: instance count and first counterexample."""
+    """Outcome of one invariant family, or of one step of it: instance count and first counterexample."""
 
     __slots__ = ()
 
@@ -51,10 +65,10 @@ class CheckResult(namedtuple("CheckResult", "name instances counterexample", def
 
 
 def _family(name: str):
-    """Turn a per-instance generator into a check that reports its first counterexample.
+    """Turn a per-instance generator into a step that reports its first counterexample.
 
     A whole-level condition that is not an instance of its own yields only
-    when it fails.
+    when it fails.  A step that only keeps state for a later one yields nothing.
     """
 
     def decorate(check):
@@ -76,50 +90,47 @@ def _gapstr(semigroup: NumericalSemigroup) -> str:
     return f"gaps={list(semigroup.gaps)}"
 
 
-def _nodes(levels: Levels) -> Iterator[NumericalSemigroup]:
-    return (node for level in levels for node in level)
-
-
 @_family("tree-parent-roundtrip")
-def _tree_roundtrip(levels: Levels) -> Instances:
+def _tree_roundtrip(genus: int, level: Level, offspring: Offspring, last: bool) -> Instances:
     """Every node revalidates, is unique on its level, and is a child of its parent.
 
     Each level is also complete: its size is the number of children, by the
     reference ``children``, of the level above.  Nodes are keyed by their gap
     tuples, and a parent's gaps are its child's without the last.  Each
     parent's children stay a tuple, so a child listed twice counts twice.
+    ``offspring`` holds the children of the level above; each step but the
+    last replaces them with its own level's.
     """
-    offspring: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for genus, level in enumerate(levels):
-        if len({node.gaps for node in level}) != len(level):
-            yield f"duplicates at genus {genus}"
-        if genus > 0 and len(level) != (made := sum(map(len, offspring.values()))):
-            yield f"genus {genus}: {len(level)} nodes, but genus {genus - 1} has {made} children"
-        for node in level:
-            gaps = node.gaps
-            try:
-                NumericalSemigroup.from_gaps(gaps)
-            except Exception as exc:  # noqa: BLE001
-                yield f"{_gapstr(node)}: {exc}"
-            if genus == 0 or gaps in offspring.get(gaps[:-1], ()):
-                yield None
-            else:
-                yield f"{_gapstr(node)} is not a child of gaps={list(gaps[:-1])}"
-        if genus + 1 < len(levels):
-            offspring = {node.gaps: tuple(child.gaps for child in children(node)) for node in level}
+    if len({node.gaps for node in level}) != len(level):
+        yield f"duplicates at genus {genus}"
+    if genus > 0 and len(level) != (made := sum(map(len, offspring.values()))):
+        yield f"genus {genus}: {len(level)} nodes, but genus {genus - 1} has {made} children"
+    for node in level:
+        gaps = node.gaps
+        try:
+            NumericalSemigroup.from_gaps(gaps)
+        except Exception as exc:  # noqa: BLE001
+            yield f"{_gapstr(node)}: {exc}"
+        if genus == 0 or gaps in offspring.get(gaps[:-1], ()):
+            yield None
+        else:
+            yield f"{_gapstr(node)} is not a child of gaps={list(gaps[:-1])}"
+    offspring.clear()
+    if not last:
+        offspring.update((node.gaps, tuple(child.gaps for child in children(node))) for node in level)
 
 
 @_family("arf-deciders-agree")
-def _arf_deciders_agree(levels: Levels) -> Instances:
+def _arf_deciders_agree(level: Level) -> Instances:
     """The triple, doubling, and stable-ideal Arf procedures return the same verdict."""
-    for node in _nodes(levels):
+    for node in level:
         a, b, c = is_arf_definition(node), is_arf_double(node), is_arf_stable(node)
         yield None if a == b == c else f"{_gapstr(node)}: triple={a} doubling={b} stable={c}"
 
 
 @_family("arf-implies-sparse")
-def _arf_implies_sparse(levels: Levels) -> Instances:
-    for node in _nodes(levels):
+def _arf_implies_sparse(level: Level) -> Instances:
+    for node in level:
         if is_arf_double(node) and sparseness_index(node) > 2:
             yield f"{_gapstr(node)}: Arf but index {sparseness_index(node)}"
         else:
@@ -127,16 +138,16 @@ def _arf_implies_sparse(levels: Levels) -> Instances:
 
 
 @_family("leap-counts-sum-to-genus")
-def _leap_counts_sum_to_genus(levels: Levels) -> Instances:
-    for node in _nodes(levels):
+def _leap_counts_sum_to_genus(level: Level) -> Instances:
+    for node in level:
         holds = len(leap_set(node)) == node.genus and leap_profile(node).total == node.genus
         yield None if holds else _gapstr(node)
 
 
 @_family("hyperelliptic-leap-shape")
-def _hyperelliptic_leap_shape(levels: Levels) -> Instances:
+def _hyperelliptic_leap_shape(level: Level) -> Instances:
     """2 is a member iff no single leaps; then every leap is double; else jumps <= genus."""
-    for node in _nodes(levels):
+    for node in level:
         if node.genus == 0:
             continue
         profile = leap_profile(node)
@@ -152,9 +163,9 @@ def _hyperelliptic_leap_shape(levels: Levels) -> Instances:
 
 
 @_family("unit-and-ordinary-signatures")
-def _unit_and_ordinary_signatures(levels: Levels) -> Instances:
+def _unit_and_ordinary_signatures(level: Level) -> Instances:
     """Double leaps vanish only on the full naturals; ordinary profiles are (g-1, 1)."""
-    for node in _nodes(levels):
+    for node in level:
         profile = leap_profile(node)
         signature = (profile.v(1), profile.v(2)) == (node.genus - 1, 1)
         if (profile.v(2) == 0) != (node.genus == 0):
@@ -168,13 +179,13 @@ def _unit_and_ordinary_signatures(levels: Levels) -> Instances:
 
 
 @_family("sparse-leap-identities")
-def _sparse_leap_identities(levels: Levels) -> Instances:
+def _sparse_leap_identities(level: Level) -> Instances:
     """Sparse iff single+double leaps fill the genus; then the Frobenius number is v1 + 2 v2 - 1.
 
     The K form, v1 = K - 1 and v2 = genus - K + 1 for K = 2 genus - frobenius,
     follows from these two, so it is not checked again.
     """
-    for node in _nodes(levels):
+    for node in level:
         profile = leap_profile(node)
         sparse = is_sparse(node)
         if sparse != (profile.v(1) + profile.v(2) == node.genus):
@@ -186,9 +197,9 @@ def _sparse_leap_identities(levels: Levels) -> Instances:
 
 
 @_family("kappa-deciders-agree")
-def _kappa_deciders_agree(levels: Levels) -> Instances:
+def _kappa_deciders_agree(level: Level) -> Instances:
     """The four kappa-sparse procedures agree for every kappa in [2, genus + 2]."""
-    for node in _nodes(levels):
+    for node in level:
         for kappa in range(2, node.genus + 3):
             a = is_kappa_sparse_profile(node, kappa)
             b = is_kappa_sparse_gapdiff(node, kappa)
@@ -198,16 +209,16 @@ def _kappa_deciders_agree(levels: Levels) -> Instances:
 
 
 @_family("frobenius-equals-weighted-leaps")
-def _frobenius_equals_weighted_leaps(levels: Levels) -> Instances:
-    for node in _nodes(levels):
+def _frobenius_equals_weighted_leaps(level: Level) -> Instances:
+    for node in level:
         holds = frobenius_from_profile(leap_profile(node)) == node.frobenius
         yield None if holds else _gapstr(node)
 
 
 @_family("identity-matches-class")
-def _identity_matches_class(levels: Levels) -> Instances:
+def _identity_matches_class(level: Level) -> Instances:
     """The truncated leap-sum identities hold exactly on the kappa-sparse members."""
-    for node in _nodes(levels):
+    for node in level:
         if node.genus == 0:
             continue
         for kappa in range(2, node.genus + 3):
@@ -216,9 +227,9 @@ def _identity_matches_class(levels: Levels) -> Instances:
 
 
 @_family("pure-run-agrees")
-def _pure_run_agrees(levels: Levels) -> Instances:
+def _pure_run_agrees(level: Level) -> Instances:
     """For kappa >= 3, purity equals kappa-sparseness plus an interior run of kappa - 1 members."""
-    for node in _nodes(levels):
+    for node in level:
         for kappa in range(3, node.genus + 3):
             expected = is_kappa_sparse(node, kappa) and not is_kappa_sparse_run(node, kappa - 1)
             holds = is_pure_kappa_sparse(node, kappa) == expected
@@ -226,35 +237,37 @@ def _pure_run_agrees(levels: Levels) -> Instances:
 
 
 @_family("pure-classes-partition")
-def _pure_classes_partition(levels: Levels) -> Instances:
+def _pure_classes_partition(genus: int, level: Level) -> Instances:
     """Each semigroup is pure for exactly one kappa, so pure counts sum to the total."""
-    for genus, level in enumerate(levels):
-        kappas = range(1, genus + 3)  # jumps never exceed genus + 2, so this is exhaustive
-        pure_sum = 0
-        for node in level:
-            index = sparseness_index(node)
-            verdicts = [is_pure_kappa_sparse(node, k) for k in kappas]
-            pure_sum += sum(verdicts)
-            bad = [k for k, pure in zip(kappas, verdicts) if pure != (k == index)]
-            yield f"{_gapstr(node)} kappa={bad[0]} index={index}" if bad else None
-        if pure_sum != len(level):
-            yield f"genus {genus}: pure classes sum to {pure_sum}, total {len(level)}"
+    kappas = range(1, genus + 3)  # jumps never exceed genus + 2, so this is exhaustive
+    pure_sum = 0
+    for node in level:
+        index = sparseness_index(node)
+        verdicts = [is_pure_kappa_sparse(node, k) for k in kappas]
+        pure_sum += sum(verdicts)
+        bad = [k for k, pure in zip(kappas, verdicts) if pure != (k == index)]
+        yield f"{_gapstr(node)} kappa={bad[0]} index={index}" if bad else None
+    if pure_sum != len(level):
+        yield f"genus {genus}: pure classes sum to {pure_sum}, total {len(level)}"
 
 
 @_family("kappa-chain-strict")
-def _kappa_chain_strict(levels: Levels) -> Instances:
+def _kappa_chain_strict(level: Level, last: bool) -> Instances:
     """Classes grow with kappa, strictly: each step has an explicit witness.
 
     Each node's verdict at kappa + 1 is carried to the next step, so every
-    (node, kappa) is decided once.
+    (node, kappa) is decided once.  The witnesses are tried once, in the
+    step of the last level.
     """
-    for node in _nodes(levels):
+    for node in level:
         inside = is_kappa_sparse(node, 1)
         for kappa in range(1, node.genus + 3):
             above = is_kappa_sparse(node, kappa + 1)
             grows = above or not inside
             yield None if grows else f"{_gapstr(node)}: in class {kappa} but not {kappa + 1}"
             inside = above
+    if not last:
+        return
     for kappa in range(1, KAPPA_LIMIT + 1):
         witness = NumericalSemigroup((1,)) if kappa == 1 else example_family(kappa + 1, kappa + 1)
         strict = is_kappa_sparse(witness, kappa + 1) and not is_kappa_sparse(witness, kappa)
@@ -262,21 +275,25 @@ def _kappa_chain_strict(levels: Levels) -> Instances:
 
 
 @_family("intersection-stays-in-class")
-def _intersection_stays_in_class(levels: Levels) -> Instances:
+def _intersection_stays_in_class(level: Level, pool: Pool, last: bool) -> Instances:
     """Intersecting two kappa-sparse semigroups stays in the class (kappa in 2..4).
 
-    A meet's gap set is the union of the pair's, so the pair's OR of gap masks
-    keys it: each distinct meet is built once and tested at every kappa whose
-    class holds both semigroups of each pair that reaches it.  Each node's
-    classes are a mask, bit kappa set for each kappa, so the classes a pair
-    shares are one AND, and a pair that shares none is passed over at once.
-    A node in none of the classes is left out of the pool, so it costs no pair.
+    Each step adds its level to ``pool``; the step of the last pooled level
+    tries the pairs.  A meet's gap set is the union of the pair's, so the
+    pair's OR of gap masks keys it: each distinct meet is built once and
+    tested at every kappa whose class holds both semigroups of each pair that
+    reaches it.  Each node's classes are a mask, bit kappa set for each
+    kappa, so the classes a pair shares are one AND, and a pair that shares
+    none is passed over at once.  A node in none of the classes is left out
+    of the pool, so it costs no pair.
     """
-    pool = [
+    pool += (
         (node, mask)
-        for node in _nodes(levels[: PAIR_GENUS + 1])
+        for node in level
         if (mask := sum(1 << kappa for kappa in (2, 3, 4) if is_kappa_sparse(node, kappa)))
-    ]
+    )
+    if not last:
+        return
     meets: dict[int, NumericalSemigroup] = {}
     for i, (a, a_mask) in enumerate(pool):
         for b, b_mask in pool[i:]:
@@ -292,12 +309,14 @@ def _intersection_stays_in_class(levels: Levels) -> Instances:
 
 
 @_family("adjunction-stays-in-class")
-def _adjunction_stays_in_class(levels: Levels) -> Instances:
+def _adjunction_stays_in_class(level: Level) -> Instances:
     """Filling the largest gap of a kappa-sparse semigroup stays in the class.
 
     Each node's parent is built once and tested at every kappa that holds the node.
     """
-    for node in _nodes(levels[1:]):
+    for node in level:
+        if node.genus == 0:
+            continue
         parent = node.adjoin_frobenius()
         for kappa in range(2, KAPPA_LIMIT + 1):
             if is_kappa_sparse(node, kappa):
@@ -306,32 +325,44 @@ def _adjunction_stays_in_class(levels: Levels) -> Instances:
 
 
 @_family("pruned-equals-filtered")
-def _pruned_equals_filtered(levels: Levels) -> Instances:
-    """The pruned class walk, once per kappa and bucketed by depth, matches filtering the full levels."""
+def _pruned_equals_filtered(genus: int, level: Level, filtered: Filtered, last: bool) -> Instances:
+    """The pruned class walk, once per kappa and bucketed by depth, matches filtering the full levels.
+
+    Each step keeps its level's members per kappa as a list of gap tuples,
+    which takes less memory than a set; the step of the last level runs the
+    walks and compares each list, as a set, with its depth of the walk.
+    """
+    for kappa in range(2, KAPPA_LIMIT + 1):
+        filtered[genus, kappa] = [node.gaps for node in level if is_kappa_sparse(node, kappa)]
+    if not last:
+        return
     verdicts = {}
     for kappa in range(2, KAPPA_LIMIT + 1):
-        walk, counted = _universe(EnumerationRequest(len(levels) - 1, kappa, "kappa_sparse"))
-        pruned = [set() for _ in levels]
+        walk, counted = _universe(EnumerationRequest(genus, kappa, "kappa_sparse"))
+        pruned = [set() for _ in range(genus + 1)]
         for depth, gaps, index in walk:
             if counted(index):
                 pruned[depth].add(gaps)
-        for genus, level in enumerate(levels):
-            filtered = {node.gaps for node in level if is_kappa_sparse(node, kappa)}
-            verdicts[genus, kappa] = None if pruned[genus] == filtered else (
-                f"genus={genus} kappa={kappa}: {len(pruned[genus])} pruned vs {len(filtered)} filtered"
+        for depth, found in enumerate(pruned):
+            kept = set(filtered.pop((depth, kappa)))
+            verdicts[depth, kappa] = None if found == kept else (
+                f"genus={depth} kappa={kappa}: {len(found)} pruned vs {len(kept)} filtered"
             )
     for key in sorted(verdicts):  # genus by genus, kappa by kappa
         yield verdicts[key]
 
 
 @_family("two-block-family-structure")
-def _two_block_family_structure(levels: Levels) -> Instances:
-    """The two-block family has the stated shape and is unique for its parameters."""
-    max_genus = len(levels) - 1
+def _two_block_family_structure(genus: int, level: Level, verdicts: Verdicts, last: bool) -> Instances:
+    """The two-block family has the stated shape and is unique for its parameters.
+
+    The family for (kappa, a) has genus 2 a - kappa, so each step decides the
+    parameters of its own level and keeps their verdicts; the step of the
+    last level yields them all, kappa by kappa, a by a.
+    """
     for kappa in range(3, KAPPA_LIMIT + 1):
         for a in range(kappa, kappa + 5):
-            genus = 2 * a - kappa
-            if genus > max_genus:
+            if 2 * a - kappa != genus:
                 continue
             family = example_family(a, kappa)
             shaped = (
@@ -340,38 +371,63 @@ def _two_block_family_structure(levels: Levels) -> Instances:
                 and family.element(kappa) == 2 * a
                 and is_pure_kappa_sparse(family, kappa)
             )
-            yield None if shaped else f"a={a} kappa={kappa}: family shape wrong"
-            for node in levels[genus]:
+            found = verdicts[kappa, a] = [None if shaped else f"a={a} kappa={kappa}: family shape wrong"]
+            for node in level:
                 if node.multiplicity == a and node.element(kappa) == 2 * a:
                     unique = is_pure_kappa_sparse(node, kappa) == (node == family)
-                    yield (
-                        None if unique
-                        else f"a={a} kappa={kappa}: {_gapstr(node)} breaks uniqueness"
+                    found.append(
+                        None if unique else f"a={a} kappa={kappa}: {_gapstr(node)} breaks uniqueness"
                     )
+    if last:
+        for key in sorted(verdicts):
+            yield from verdicts[key]
 
 
 def run_checks(max_genus: int) -> list[CheckResult]:
-    """Run every invariant family over the census of genus at most ``max_genus``."""
+    """Run every invariant family over the census of genus at most ``max_genus``, one level at a time.
+
+    Each level's nodes are built from the walk's gap tuples, go through every
+    family's step, and are dropped before the next level is built; only the
+    intersection pool keeps the nodes up to ``PAIR_GENUS`` until its pairs
+    have run.
+    """
     _require_genus(max_genus, "max_genus")  # the command line caps it
-    levels: Levels = [[] for _ in range(max_genus + 1)]
+    gap_levels: list[list[tuple[int, ...]]] = [[] for _ in range(max_genus + 1)]
     for depth, gaps, _ in _walk(max_genus):
-        levels[depth].append(NumericalSemigroup._unchecked(gaps))
-    return [
-        _tree_roundtrip(levels),
-        _arf_deciders_agree(levels),
-        _arf_implies_sparse(levels),
-        _leap_counts_sum_to_genus(levels),
-        _hyperelliptic_leap_shape(levels),
-        _unit_and_ordinary_signatures(levels),
-        _sparse_leap_identities(levels),
-        _kappa_deciders_agree(levels),
-        _frobenius_equals_weighted_leaps(levels),
-        _identity_matches_class(levels),
-        _pure_run_agrees(levels),
-        _pure_classes_partition(levels),
-        _kappa_chain_strict(levels),
-        _intersection_stays_in_class(levels),
-        _adjunction_stays_in_class(levels),
-        _pruned_equals_filtered(levels),
-        _two_block_family_structure(levels),
-    ]
+        gap_levels[depth].append(gaps)
+    results: dict[Callable[..., CheckResult], CheckResult] = {}  # every family runs at genus 0, in order
+
+    def step(family: Callable[..., CheckResult], *args) -> None:
+        """Run a family's step unless the family has failed, and add up its instances."""
+        so_far = results.get(family, CheckResult(None, 0))
+        if so_far.passed:
+            result = family(*args)
+            results[family] = result._replace(instances=so_far.instances + result.instances)
+
+    offspring, pool, filtered, verdicts = {}, [], {}, {}  # the state of the families that need it
+    for genus, level_gaps in enumerate(gap_levels):
+        level = [NumericalSemigroup._unchecked(gaps) for gaps in level_gaps]
+        last = genus == max_genus
+        step(_tree_roundtrip, genus, level, offspring, last)
+        step(_arf_deciders_agree, level)
+        step(_arf_implies_sparse, level)
+        step(_leap_counts_sum_to_genus, level)
+        step(_hyperelliptic_leap_shape, level)
+        step(_unit_and_ordinary_signatures, level)
+        step(_sparse_leap_identities, level)
+        step(_kappa_deciders_agree, level)
+        step(_frobenius_equals_weighted_leaps, level)
+        step(_identity_matches_class, level)
+        step(_pure_run_agrees, level)
+        step(_pure_classes_partition, genus, level)
+        step(_kappa_chain_strict, level, last)
+        if genus <= PAIR_GENUS:
+            paired = genus == min(max_genus, PAIR_GENUS)
+            step(_intersection_stays_in_class, level, pool, paired)
+            if paired:
+                pool.clear()
+        step(_adjunction_stays_in_class, level)
+        step(_pruned_equals_filtered, genus, level, filtered, last)
+        step(_two_block_family_structure, genus, level, verdicts, last)
+        del level  # gone before the next level is built
+    return list(results.values())

@@ -578,10 +578,13 @@ class TestEntryPoint:
         assert re.fullmatch(stderr, result.stderr)
 
     # 89 bytes, which a block-buffered stdout holds until the final flush, and 16.5 kB, which
-    # overflow its 8 KiB buffer while main() prints; unbuffered, the first write fails in both
+    # overflow its 8 KiB buffer while main() prints; unbuffered, the first write fails in both.
+    # The help texts, a command's and a subcommand's, end in argparse's exit, not a return
     OUTPUTS = pytest.mark.parametrize("argv", [
         pytest.param(["info", "--gaps", "1,2,4"], id="info"),
         pytest.param(["enumerate", "--genus", "12", "--format", "tsv"], id="enumerate"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["enumerate", "--help"], id="enumerate-help"),
     ])
     NO_SPACE = "error: [Errno 28] No space left on device\n"
 
@@ -646,6 +649,12 @@ class TestEntryPoint:
             "-m", "sparsegroup", "info", "--gaps", "1,2,4", stdout=None, preexec_fn=lambda: os.close(1)
         )
         assert (result.returncode, result.stderr) == (0, "")
+
+    def test_help_with_stdout_closed_goes_to_stderr(self, monkeypatch):
+        """As in argparse, the help text falls back to stderr when there is no stdout."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width of the help text, here and in the spawn
+        result = spawn("-m", "sparsegroup", "--help", stdout=None, preexec_fn=lambda: os.close(1))
+        assert (result.returncode, result.stderr) == (0, _build_parser().format_help())
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 import sparsegroup.enumeration
@@ -8,8 +10,9 @@ import sparsegroup.verify
 from sparsegroup import NumericalSemigroup, enumerate_genus
 from sparsegroup.cli import main
 from sparsegroup.enumeration import children
+from sparsegroup.kappa import sparseness_index
 from sparsegroup.leaps import LeapProfile
-from sparsegroup.verify import CheckResult, run_checks
+from sparsegroup.verify import PAIR_GENUS, CheckResult, run_checks
 
 # Every family, in run order, with its instance count over the census to genus 6.
 GENUS_SIX_INSTANCES = {
@@ -55,22 +58,107 @@ def test_broken_decider_reports_first_counterexample(monkeypatch, capsys):
     assert lines[-1] == "checked 17 invariant families over genus <= 3: 1 failed"
 
 
+def test_a_family_that_fails_partway_stops_and_the_others_finish(monkeypatch, capsys):
+    """A decider that goes wrong from genus 4 on fails its family at the first node of genus 4.
+
+    The 8 nodes of genus 0 to 3 each count an instance first.  The failed family
+    is not run on the levels after, and every other family counts all its instances.
+    """
+    original = sparsegroup.verify.is_arf_stable
+    monkeypatch.setattr(
+        sparsegroup.verify, "is_arf_stable", lambda node: original(node) == (node.genus < 4)
+    )
+    family = sparsegroup.verify._arf_deciders_agree
+    steps = []
+
+    def recorded(level):
+        steps.append(level[0].genus)
+        return family(level)
+
+    monkeypatch.setattr(sparsegroup.verify, "_arf_deciders_agree", recorded)
+    results = run_checks(6)
+    assert steps == [0, 1, 2, 3, 4]
+    broken = results[1]
+    assert broken == CheckResult(
+        "arf-deciders-agree", 9, "gaps=[1, 2, 3, 4]: triple=True doubling=True stable=False"
+    )
+    others = [(r.name, r.instances) for r in results if r.passed]
+    assert others == [item for item in GENUS_SIX_INSTANCES.items() if item[0] != broken.name]
+
+    assert main(["verify", "--max-genus", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"FAIL arf-deciders-agree: {broken.counterexample}"
+    assert lines[-1] == "checked 17 invariant families over genus <= 6: 1 failed"
+
+
+def test_each_level_is_gone_before_the_next_is_checked(monkeypatch):
+    """When a level's steps start, no node of a lower genus is alive but the intersection pool's.
+
+    The pool holds the kappa-sparse nodes (kappa in 2..4) up to ``PAIR_GENUS`` and
+    is emptied once its pairs have run.
+    """
+    family = sparsegroup.verify._tree_roundtrip  # the first step of every level
+    built = []  # a weak reference to every node a level hands to its steps
+    alive = {}  # genus -> the gaps of the earlier nodes still alive when its steps start
+
+    def watched(genus, level, offspring, last):
+        alive[genus] = sorted(node.gaps for node in (ref() for ref in built) if node is not None)
+        built.extend(map(weakref.ref, level))
+        return family(genus, level, offspring, last)
+
+    monkeypatch.setattr(sparsegroup.verify, "_tree_roundtrip", watched)
+    max_genus = PAIR_GENUS + 3
+    assert all(result.passed for result in run_checks(max_genus))
+    assert len(built) == sum(len(level) for level in real(max_genus))
+    pooled = {  # the nodes of the genera below, in a class with kappa <= 4
+        genus: sorted(node.gaps for level in real(genus - 1) for node in level if sparseness_index(node) <= 4)
+        for genus in range(PAIR_GENUS + 1)
+    }
+    assert alive == {genus: pooled.get(genus, []) for genus in range(max_genus + 1)}
+
+
 def test_check_result_reports_failure():
     failing = CheckResult("example", 3, counterexample="gaps=[1]")
     assert not failing.passed
     assert CheckResult("example", 3).passed
 
 
-def test_tree_roundtrip_catches_a_missing_node():
-    levels = [list(enumerate_genus(g)) for g in range(4)]
-    del levels[3][0]
-    result = sparsegroup.verify._tree_roundtrip(levels)
-    assert result.counterexample == "genus 3: 3 nodes, but genus 2 has 4 children"
-    assert result.instances == 5
-
-
 def real(max_genus):
     return [list(enumerate_genus(g)) for g in range(max_genus + 1)]
+
+
+def by_level(name, levels):
+    """Run the named family on ``levels`` step by step, with the state ``run_checks`` keeps for it.
+
+    The steps' instances add up, and the first step that fails ends the run, as
+    in ``run_checks``; ``levels`` ends at or below ``PAIR_GENUS``.
+    """
+    family = getattr(sparsegroup.verify, name)
+    offspring, pool, filtered, verdicts = {}, [], {}, {}
+    steps = {
+        "_tree_roundtrip": lambda genus, level, last: family(genus, level, offspring, last),
+        "_pure_classes_partition": lambda genus, level, last: family(genus, level),
+        "_kappa_chain_strict": lambda genus, level, last: family(level, last),
+        "_intersection_stays_in_class": lambda genus, level, last: family(level, pool, last),
+        "_pruned_equals_filtered": lambda genus, level, last: family(genus, level, filtered, last),
+        "_two_block_family_structure": lambda genus, level, last: family(genus, level, verdicts, last),
+    }
+    step = steps.get(name, lambda genus, level, last: family(level))
+    instances = 0
+    for genus, level in enumerate(levels):
+        result = step(genus, level, genus == len(levels) - 1)
+        instances += result.instances
+        if not result.passed:
+            break
+    return result._replace(instances=instances)
+
+
+def test_tree_roundtrip_catches_a_missing_node():
+    levels = real(3)
+    del levels[3][0]
+    result = by_level("_tree_roundtrip", levels)
+    assert result.counterexample == "genus 3: 3 nodes, but genus 2 has 4 children"
+    assert result.instances == 5
 
 
 def crafted(*gaps):
@@ -81,14 +169,14 @@ def crafted(*gaps):
 def test_tree_roundtrip_catches_a_duplicate():
     levels = real(2)
     levels[2].append(levels[2][0])
-    result = sparsegroup.verify._tree_roundtrip(levels)
+    result = by_level("_tree_roundtrip", levels)
     assert result == CheckResult("tree-parent-roundtrip", 3, "duplicates at genus 2")
 
 
 def test_tree_roundtrip_counts_a_child_listed_twice(monkeypatch):
     """Each parent's children stay a tuple, so a duplicated child changes the level count."""
     monkeypatch.setattr(sparsegroup.verify, "children", lambda node: children(node) + children(node)[:1])
-    result = sparsegroup.verify._tree_roundtrip(real(2))
+    result = by_level("_tree_roundtrip", real(2))
     assert result == CheckResult(
         "tree-parent-roundtrip", 2, "genus 1: 1 nodes, but genus 0 has 2 children"
     )
@@ -97,7 +185,7 @@ def test_tree_roundtrip_counts_a_child_listed_twice(monkeypatch):
 def test_tree_roundtrip_catches_a_node_that_does_not_revalidate():
     levels = real(2)
     levels[2][-1] = NumericalSemigroup._unchecked((2, 3))
-    result = sparsegroup.verify._tree_roundtrip(levels)
+    result = by_level("_tree_roundtrip", levels)
     assert result == CheckResult(
         "tree-parent-roundtrip", 4, "gaps=[2, 3]: 1 and 1 are non-gaps but their sum 2 is a gap"
     )
@@ -274,7 +362,7 @@ def test_each_counterexample_text(monkeypatch, family, patches, levels, countere
     """A patched reader or a crafted level reaches the branch; the first failure stops the family."""
     for name, value in patches.items():
         monkeypatch.setattr(sparsegroup.verify, name, value)
-    result = getattr(sparsegroup.verify, family)(levels)
+    result = by_level(family, levels)
     assert (result.counterexample, result.instances) == (counterexample, instances)
 
 
@@ -309,15 +397,15 @@ def test_pure_classes_partition_decides_purity_once_per_node_and_kappa(monkeypat
         return original(semigroup, kappa)
 
     monkeypatch.setattr(sparsegroup.verify, "is_pure_kappa_sparse", counted)
-    levels = [list(enumerate_genus(g)) for g in range(7)]
-    result = sparsegroup.verify._pure_classes_partition(levels)
+    levels = real(6)
+    result = by_level("_pure_classes_partition", levels)
     assert result.passed and result.instances == 50
     assert len(calls) == len(set(calls)) == sum((g + 2) * len(level) for g, level in enumerate(levels))
 
 
 def test_each_distinct_meet_and_each_parent_is_built_once(monkeypatch):
     """One meet per distinct gap union among eligible pairs, one parent per node of positive genus."""
-    levels = [list(enumerate_genus(g)) for g in range(7)]
+    levels = real(6)
     built = {"intersect": [], "adjoin_frobenius": []}
     for name, calls in built.items():
         original = getattr(NumericalSemigroup, name)
@@ -328,7 +416,7 @@ def test_each_distinct_meet_and_each_parent_is_built_once(monkeypatch):
 
         monkeypatch.setattr(NumericalSemigroup, name, counted)
 
-    meets = sparsegroup.verify._intersection_stays_in_class(levels)
+    meets = by_level("_intersection_stays_in_class", levels)
     assert meets.passed and meets.instances == GENUS_SIX_INSTANCES["intersection-stays-in-class"]
     pool = []
     for level in levels:
@@ -343,7 +431,7 @@ def test_each_distinct_meet_and_each_parent_is_built_once(monkeypatch):
     }
     assert len(built["intersect"]) == len(unions) < meets.instances
 
-    parents = sparsegroup.verify._adjunction_stays_in_class(levels)
+    parents = by_level("_adjunction_stays_in_class", levels)
     assert parents.passed and parents.instances == GENUS_SIX_INSTANCES["adjunction-stays-in-class"]
     adjoined = built["adjoin_frobenius"]
     assert len({id(node) for node in adjoined}) == len(adjoined) == sum(map(len, levels[1:]))

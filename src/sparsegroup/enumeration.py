@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
@@ -38,46 +39,98 @@ def _walk(
     is built.  ``keep`` prunes on the index: a node whose index fails it is
     skipped along with its whole subtree.  It is called on the root and on
     every candidate child, in descending order of the removed generator.
-    The loop is ``_tree``'s.
+    This is ``_tree``'s stream, the walk that also counts and tallies.
     """
-    return _tree(max_genus, keep)
+    return _tree(max_genus, keep, stream=True)
 
 
 def _tree(
     max_genus: int,
-    keep: Callable[[int], bool] | None,
+    keep: Callable[[int], bool] | None = None,
+    span: int | None = None,
     arf: bool = False,
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The stream behind ``_walk``, or with ``arf`` over the Arf subtree: ``_stays_arf`` tests each child.
+    pure: bool = False,
+    bits: int | None = None,
+    stream: bool = False,
+) -> Iterator:
+    """The one walk over the tree: with ``stream`` each node, else once the class's count or tallies.
 
-    It yields every node and tallies nothing: level sizes and census rows come from ``counting._count``.
-    A child that removes x from a node with Frobenius number F adds exactly one leap, (F, x), so its
-    index is the larger of the node's and x - F.  A node carries F, its multiplicity m, index, the
-    member masks, minimal generators above F and gaps; its children's generators are found as in
-    ``counting._count``, which explains the masks, before a child is stacked.  A child at depth
-    ``max_genus`` is stacked without them, as nothing below it is read.
+    A child that removes x from a node with Frobenius number F adds one leap, (F, x), of jump
+    x - F.  So with ``span`` kappa only the children with x <= F + kappa are kappa-sparse, and only
+    those are walked; with ``arf`` (``span`` 2) a child is walked if ``_stays_arf`` also passes it.
+    ``keep`` prunes on the child's key: it is called on the root and then on every candidate
+    child, by descending x, and a refused node is skipped along with its whole subtree.
+
+    The key is the node's leap counts in ``bits``-wide fields, field j holding the leaps of jump j,
+    or else its index, the largest jump (1 at the root), so a child's key is its parent's plus the
+    jump x - F, or the larger of the two.  With ``stream`` it yields ``(depth, gaps, index)`` in
+    depth-first preorder to depth ``max_genus``; a child at that depth is stacked without masks
+    or generators, as nothing below it is read.  Without it, it yields once: with ``bits`` a tally
+    per depth 0..``max_genus`` of each key's number of walked nodes, else how many members of
+    genus ``max_genus`` the class has, where ``pure`` counts only those of index ``span``.
+
+    A node carries F, its multiplicity m, key, member mask over [0, W], the reversed mask (bit
+    W - n set iff n is a member), minimal generators above F and, in a stream, gaps.  Its child
+    without x > F has Frobenius number x, keeps the generators above x and gains at most
+    y = x + m: a new one is x + s, s a nonzero member, and none exceeds x + m.  It gains y unless
+    some a in (m, x) has a and y - a as members.  On (m, x) the child and the node agree, so that
+    is one AND of the node's mask with its reversed mask shifted by W - y.  The child without m of
+    an ordinary node is ordinary, with generators m + 1, ..., 2m + 1.  The AND runs on children of
+    nodes at depth d <= ``max_genus - 2``, whose x is at most 2d + 1 and m at most d + 1, so
+    W = 3 * ``max_genus`` suffices for y <= 3d + 2.
+
+    A count stacks nothing below depth ``max_genus - 2``: such a node tallies or counts its
+    children and grandchildren, each child's generators up to x + ``span``.  A count without
+    ``span`` or ``bits`` lists no child's generators: the child without the i-th of n generators
+    keeps the n - 1 - i above it, n(n - 1)/2 over all i, and gains y = x + m when the AND finds y
+    new; the ordinary child without m has x + 1 instead of n - 1.  Below genus 2 a count reads
+    its index-keyed tally of a walk to genus 2: it sums the one at ``max_genus`` over the
+    members' keys.
     """
-    width = 3 * max_genus
-    everything = (1 << width + 1) - 1
+    if max_genus < 2 and not stream:
+        tallies = next(_tree(2, None, span, arf, bits=bits or 0))[: max_genus + 1]
+        yield tallies if bits is not None else sum(
+            n for key, n in tallies[max_genus].items() if not pure or key == span
+        )
+        return
     if keep is not None and not keep(1):
         return
-    stack = [(0, -1, 1, 1, everything, everything, (1,), ())]
+    width = 3 * max_genus
+    everything = (1 << width + 1) - 1
+    last = max_genus - 1 if stream else max_genus - 2
+    closed = span is None and bits is None and not stream
+    tallies = None if bits is None else [{} for _ in range(max_genus + 1)]
+    total = 0
+    stack = [(0, -1, 1, 0 if bits else 1, everything, everything, (1,), ())]
     while stack:
-        depth, frobenius, multiplicity, index, members, reversed_members, generators, gaps = stack.pop()
-        yield depth, gaps, index
-        if depth == max_genus:
+        depth, frobenius, multiplicity, key, members, reversed_members, generators, gaps = stack.pop()
+        if stream:
+            yield depth, gaps, key
+            if depth == max_genus:
+                continue
+        elif tallies is not None:
+            tallies[depth][key] = tallies[depth].get(key, 0) + 1
+        n = len(generators) if span is None else bisect_right(generators, frobenius + span)
+        if depth == last and closed:
+            total += n * (n - 1) // 2
+            for x in generators:
+                if x == multiplicity:
+                    total += x + 2 - n
+                    continue
+                sums = (members & reversed_members >> width - x - multiplicity) >> multiplicity + 1
+                total += not sums & (1 << x - multiplicity - 1) - 1
             continue
-        leaves = depth + 1 == max_genus
-        for i in reversed(range(min(len(generators), 2) if arf else len(generators))):  # Arf: x <= F + 2
+        leaves = stream and depth == last
+        for i in range(n - 1, -1, -1):  # stacked last to first, so walked in tree order
             x = generators[i]
             if arf and not _stays_arf(members, frobenius, x):
                 continue
             jump = x - frobenius
-            child_index = index if index > jump else jump
-            if keep is not None and not keep(child_index):
+            child_key = key + (1 << bits * jump) if bits else key if key > jump else jump
+            if keep is not None and not keep(child_key):
                 continue
             if leaves:  # yielded and dropped
-                stack.append((depth + 1, x, 0, child_index, 0, 0, None, gaps + (x,)))
+                stack.append((depth + 1, x, 0, child_key, 0, 0, None, gaps + (x,)))
                 continue
             if x == multiplicity:
                 child_multiplicity = x + 1
@@ -89,10 +142,33 @@ def _tree(
                 sums = (members & reversed_members >> width - y) >> multiplicity + 1
                 if not sums & (1 << x - multiplicity - 1) - 1:
                     child_generators += (y,)
-            stack.append((
-                depth + 1, x, child_multiplicity, child_index,
-                members ^ 1 << x, reversed_members ^ 1 << width - x, child_generators, gaps + (x,),
-            ))
+            if depth < last:
+                stack.append((
+                    depth + 1, x, child_multiplicity, child_key,
+                    members ^ 1 << x, reversed_members ^ 1 << width - x, child_generators,
+                    gaps + (x,) if stream else None,
+                ))
+                continue
+            grandchildren = child_generators
+            if span is not None:
+                grandchildren = child_generators[: bisect_right(child_generators, x + span)]
+            if arf:
+                child_members = members ^ 1 << x
+                grandchildren = [g for g in grandchildren if _stays_arf(child_members, x, g)]
+            if tallies is None:
+                if not pure or child_key == span:
+                    total += len(grandchildren)
+                elif grandchildren:  # of index kappa only through a last jump of kappa
+                    total += grandchildren[-1] == x + span
+                continue
+            tallies[depth + 1][child_key] = tallies[depth + 1].get(child_key, 0) + 1
+            tally = tallies[depth + 2]
+            for g in grandchildren:
+                jump = g - x
+                g_key = child_key + (1 << bits * jump) if bits else jump if jump > child_key else child_key
+                tally[g_key] = tally.get(g_key, 0) + 1
+    if not stream:
+        yield total if tallies is None else tallies
 
 
 def _stays_arf(members: int, frobenius: int, x: int) -> bool:
@@ -162,7 +238,7 @@ def _universe(request: EnumerationRequest) -> tuple[Iterator, Callable[[int], bo
     """The stream over the request's universe, pruned by index <= kappa in a kappa mode, and ``counted``."""
     span, arf, counted = _class(request.mode, request.kappa)
     if arf:
-        return _tree(request.max_genus, None, arf), counted
+        return _tree(request.max_genus, None, span, arf, stream=True), counted
     return _walk(request.max_genus, None if span is None else lambda index: index <= span), counted
 
 
@@ -181,12 +257,13 @@ def members(request: EnumerationRequest) -> Iterator[NumericalSemigroup]:
 def level_size(request: EnumerationRequest) -> int:
     """How many members ``members(request)`` yields, counted without building any.
 
-    ``counting._count`` walks the class alone: a child of index above kappa, or
-    one that is not Arf, is never reached.
+    ``_tree`` counts them in the walk that streams them, without the stream:
+    it walks the class alone, so a child of index above kappa, or one that is
+    not Arf, is never reached, and it stacks nothing below genus
+    ``max_genus - 2``.
     """
-    from .counting import _count
     span, arf, _ = _class(request.mode, request.kappa)
-    return _count(request.max_genus, span, arf, request.mode == "pure_kappa_sparse")
+    return next(_tree(request.max_genus, None, span, arf, request.mode == "pure_kappa_sparse"))
 
 
 def enumerate_genus(genus: int) -> Iterator[NumericalSemigroup]:
@@ -215,8 +292,8 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     class, its pure part, or the Arf members); class columns are evaluated
     inside that universe.  Output is deterministic across runs.
 
-    The rows come from the tallies of ``counting._count``, one per genus: it
-    walks the mode's class alone and reads the last two levels off the nodes
+    The rows come from ``_tree``'s tallies, one per genus: the walk that
+    streams and counts walks the mode's class alone and reads the last two levels off the nodes
     two levels up.  A node's key is its index, or if profiles are emitted its
     leap counts, packed into one int with a field per jump one bit wider than
     a count of ``max_genus`` needs; so the highest nonzero field, the index, is
@@ -227,14 +304,13 @@ def census(request: EnumerationRequest) -> list[CensusRow]:
     members in the tallies of the Arf subtree, walked once; in ``arf`` mode,
     where that subtree is the universe, it is the row's total.
     """
-    from .counting import _count
     bits = request.max_genus.bit_length() + 1 if request.emit == "full" else 0
     if bits:  # only a census with profiles builds them, so no count loads leaps
         from .leaps import LeapProfile
     span, arf, counted = _class(request.mode, request.kappa)
-    tallies = _count(request.max_genus, span, arf, bits=bits)
+    tallies = next(_tree(request.max_genus, None, span, arf, bits=bits))
     # in arf mode, with no member test, the column is each total
-    arf_tallies = tallies if arf else _count(request.max_genus, *_class("arf")[:2], bits=0)
+    arf_tallies = tallies if arf else next(_tree(request.max_genus, None, *_class("arf")[:2], bits=0))
     index_of = (lambda key: key.bit_length() // bits or 1) if bits else int  # an index key is the index
     rows = []
     for genus, tally in enumerate(tallies):

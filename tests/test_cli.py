@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from sparsegroup import (
-    counting,
     enumeration,
     example_family,
     format_gap_line,
@@ -442,15 +441,15 @@ class TestEnumerate:
 
         A key of packed leap counts has a field per jump; an index key is at most genus + 1.
         """
-        walk, keys = counting._count, []
+        walk, keys = enumeration._tree, []
 
-        def recorded(max_genus, span, arf, pure=False, bits=None):
+        def recorded(max_genus, keep, span, arf, pure=False, bits=None, stream=False):
             assert bits == 0, "leap counts packed for a census without profiles"
-            tallies = walk(max_genus, span, arf, pure, bits)
-            keys.extend(key for tally in tallies for key in tally)
-            return tallies
+            for tallies in walk(max_genus, keep, span, arf, pure, bits, stream):
+                keys.extend(key for tally in tallies for key in tally)
+                yield tallies
 
-        monkeypatch.setattr(counting, "_count", recorded)
+        monkeypatch.setattr(enumeration, "_tree", recorded)
         code, out, _ = run(capsys, "enumerate", "--genus", "6", "--census", *flags)
         assert code == 0
         if "tsv" in flags:

@@ -29,7 +29,7 @@ from sparsegroup import (
     ordinary,
     sparseness_index,
 )
-from sparsegroup import counting, enumeration
+from sparsegroup import enumeration
 from sparsegroup.enumeration import EMITS, MODES, _stays_arf, _walk, members
 
 from oracle import (
@@ -108,7 +108,12 @@ class TestWalk:
     @pytest.mark.parametrize("arf", [False, True], ids=["stream", "arf-stream"])
     def test_a_keep_that_refuses_the_root_walks_nothing(self, arf):
         calls = []
-        assert list(enumeration._tree(5, lambda index: calls.append(index) or False, arf)) == []
+
+        def refuse(index):
+            calls.append(index)
+            return False
+
+        assert list(enumeration._tree(5, refuse, 2 if arf else None, arf, stream=True)) == []
         assert calls == [1]
 
     def test_keep_sees_the_root_and_every_candidate_child(self):
@@ -411,11 +416,14 @@ class TestAggregateWalk:
         + [(mode, kappa) for mode in ("kappa_sparse", "pure_kappa_sparse") for kappa in (1, 2, 3, 5, 6)],
     )
     def test_tallies_equal_the_stream_bucketed_by_depth_and_key(self, mode, kappa):
-        """``counting._count``'s tallies at genus 0..16, both key kinds, against ``_universe``'s stream.
+        """``_tree``'s tallies at genus 0..16, both key kinds, against ``_universe``'s stream.
 
-        ``level_size`` at each genus, which ``_count`` answers too, is how many members the stream
-        yields there.  The two walks share no code.  At kappa 5 and 6 the span also cuts a child's
-        generators at x + span below the largest of them.
+        ``level_size`` at each genus, which ``_tree`` counts too, is how many members the stream
+        yields there.  The stream, the counts and the tallies are one loop in three modes, so this
+        checks them against each other only; what checks the loop is independent of it: the
+        census against ``reference_census`` (built from ``children``) and ``oracle_census``, and
+        the level sizes against ``PUBLISHED_LEVEL_SIZES``.  At kappa 5 and 6 the span also cuts a
+        child's generators at x + span below the largest of them.
         """
         walk, counted = enumeration._universe(EnumerationRequest(16, kappa, mode))
         nodes = [(depth, index, stream_leap_counts(gaps)) for depth, gaps, index in walk]
@@ -432,7 +440,8 @@ class TestAggregateWalk:
                         key = sum(c << bits * jump for jump, c in counts) if bits else index
                         by_bits[bits][depth][key] += 1
                 expected = [dict(tally) for tally in by_bits[bits][: max_genus + 1]]
-                assert counting._count(max_genus, span, arf, bits=bits) == expected, (max_genus, bits)
+                tallies = next(enumeration._tree(max_genus, None, span, arf, bits=bits))
+                assert tallies == expected, (max_genus, bits)
 
 
 def jumps(gaps):
@@ -600,13 +609,13 @@ class TestCensus:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_walks_the_arf_subtree_once(self, monkeypatch, mode):
         """In ``arf`` mode the universe is the Arf subtree, and its rows give the ``arf`` column."""
-        walk, arf_walks = counting._count, []
+        walk, arf_walks = enumeration._tree, []
 
         def counted(*args, **kwargs):
             arf_walks.append(inspect.signature(walk).bind(*args, **kwargs).arguments["arf"])
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(counting, "_count", counted)
+        monkeypatch.setattr(enumeration, "_tree", counted)
         rows = census(EnumerationRequest(12, kappa_filter=3, mode=mode))
         assert arf_walks.count(True) == 1
         arf = sum(row.per_class["arf"] for row in rows)
